@@ -27,6 +27,7 @@ from .errors import (
     NotAssociative,
     NotCommutative,
     NotDistributive,
+    UnknownElement,
 )
 
 ElementId = int
@@ -366,7 +367,10 @@ class FiniteMultLattice:
         return self.poset.size - 1
 
     def id_of(self, name: str) -> ElementId:
-        return self.poset.names.index(name)
+        try:
+            return self.poset.names.index(name)
+        except ValueError:
+            raise UnknownElement(f"no element named {name!r}", name) from None
 
     # -- operations ---------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 The search fixes the forced cells (identity row, bottom row), walks the
 free cells (unordered pairs of interior elements, most-constrained
-first), bounds each candidate by xy <= x meet y, and checks
-associativity and binary distributivity incrementally on the triples
-that are already determined.  Every leaf is re-validated from scratch
-by the core validator, so correctness never depends on the propagation
-being complete.
+first), bounds each candidate by xy <= x meet y, and checks each
+assignment incrementally: only the associativity and binary
+distributivity triples that read the new cell are examined, since every
+other determined triple was checked when its last cell was set.  Every
+leaf is re-validated from scratch by the core validator, so correctness
+never depends on the propagation being complete.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -16,8 +17,6 @@ coincide there; for other posets an optional canonical-form count
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -76,35 +75,49 @@ def _free_cells(poset: FinitePoset) -> list[tuple[int, int]]:
     return cells
 
 
-def _consistent(table, joins, n) -> bool:
-    """Associativity and binary distributivity over the determined
-    triples of a partial table."""
-    for x in range(n):
-        row_x = table[x]
-        for y in range(n):
-            xy = row_x[y]
-            row_y = table[y]
-            for z in range(n):
-                if xy is not None:
-                    t = table[xy][z]
-                else:
-                    t = None
-                yz = row_y[z]
-                if t is not None and yz is not None:
-                    u = row_x[yz]
-                    if u is not None and t != u:
-                        return False
-            for z in range(y + 1, n):
-                xj = row_x[joins[y][z]]
-                xy2 = row_x[y]
-                xz = row_x[z]
-                if xj is not None and xy2 is not None and xz is not None:
-                    if xj != joins[xy2][xz]:
+def _consistent(table, joins, n, i, j) -> bool:
+    """Associativity and binary distributivity on the determined triples
+    that read the newly assigned cell (i, j) = (j, i).
+
+    Every other determined triple was checked when its last cell was
+    set.  The table is symmetric, so the associativity triple (x, y, z)
+    reads the same cells as (z, y, x): the new cell needs checking only
+    in the (x, y) and (xy, z) positions.
+    """
+    for a, b in {(i, j), (j, i)}:
+        row_a, row_b = table[a], table[b]
+        ab = row_a[b]
+        row_ab = table[ab]
+        for z in range(n):
+            # (ab)z = a(bz)
+            bz = row_b[z]
+            if bz is not None:
+                t, u = row_ab[z], row_a[bz]
+                if t is not None and u is not None and t != u:
+                    return False
+            # a(b v z) = ab v az
+            az, abz = row_a[z], row_a[joins[b][z]]
+            if az is not None and abz is not None and abz != joins[ab][az]:
+                return False
+        for x in range(n):
+            row_x, joins_x = table[x], joins[x]
+            for y in range(n):
+                # (xy)b = x(yb) where xy = a
+                if row_x[y] == a:
+                    yb = table[y][b]
+                    if yb is not None:
+                        u = row_x[yb]
+                        if u is not None and u != ab:
+                            return False
+                # a(x v y) = ax v ay where x v y = b
+                if joins_x[y] == b:
+                    ax, ay = row_a[x], row_a[y]
+                    if ax is not None and ay is not None and joins[ax][ay] != ab:
                         return False
     return True
 
 
-def _search(poset: FinitePoset, cells, pin=None) -> list[FiniteMultLattice]:
+def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
     n = poset.size
     top = n - 1
     leq = poset.leq
@@ -134,28 +147,12 @@ def _search(poset: FinitePoset, cells, pin=None) -> list[FiniteMultLattice]:
             if not leq[v][bound]:
                 continue
             table[i][j] = table[j][i] = v
-            if _consistent(table, joins, n):
+            if _consistent(table, joins, n, i, j):
                 backtrack(k + 1)
             table[i][j] = table[j][i] = None
 
-    if pin is None:
-        backtrack(0)
-    else:
-        i, j = cells[0]
-        if leq[pin][meets[i][j]]:
-            table[i][j] = table[j][i] = pin
-            if _consistent(table, joins, n):
-                backtrack(1)
-            table[i][j] = table[j][i] = None
+    backtrack(0)
     return found
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SHARPLAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def enumerate_structures(poset: FinitePoset):
@@ -163,24 +160,10 @@ def enumerate_structures(poset: FinitePoset):
     multiplicative lattice, exactly once, in lexicographic order of the
     row-major table.  Every yielded lattice has passed full validation.
 
-    SHARPLAT_THREADS > 1 splits the search on the first cell's
-    candidates; the output is identical either way.
+    Each assignment is checked against only the associativity and
+    distributivity triples that read the new cell.
     """
-    cells = _free_cells(poset)
-    cap = _thread_cap()
-    if cap <= 1 or not cells:
-        lattices = _search(poset, cells)
-    else:
-        i, j = cells[0]
-        candidates = [
-            v for v in range(poset.size) if poset.leq[v][poset.meets[i][j]]
-        ]
-        workers = min(cap, len(candidates))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda v: _search(poset, cells, pin=v), candidates)
-            )
-        lattices = [L for chunk in chunks for L in chunk]
+    lattices = _search(poset, _free_cells(poset))
     lattices.sort(key=FiniteMultLattice.flat_mult)
     yield from lattices
 

@@ -51,6 +51,10 @@ class DegenerateQuotient(SharplatError):
     """Quotient by the top element would collapse to one point."""
 
 
+class UnknownElement(SharplatError, ValueError):
+    """An element name that is not in the carrier."""
+
+
 class SizeTooSmall(SharplatError):
     """Requested poset is too small to carry bottom and top."""
 

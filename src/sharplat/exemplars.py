@@ -44,7 +44,8 @@ class ZMinusElement:
     def __post_init__(self):
         if self.exponent == INFINITE:
             return
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+        exponent = self.exponent
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer or INFINITE")
 
     def is_bottom(self) -> bool:

@@ -10,7 +10,6 @@ every negative answer carries the least witness in canonical order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .core import ElementId, FiniteMultLattice
 from .errors import ClaimFalsified, InternalEquivalenceViolation
@@ -589,16 +588,13 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
     if not profile.is_local:
         records.append(_not_applicable("local_join_representation"))
     else:
+        # a nonempty subset of jp omitting m joins to m iff the elements
+        # of jp strictly below m do
         m = maximals[0]
+        below = tuple(x for x in jp if L.lt(x, m))
         witness = None
-        if sharp:
-            for size in range(1, len(jp) + 1):
-                for subset in combinations(jp, size):
-                    if L.join_of(subset) == m and m not in subset:
-                        witness = subset
-                        break
-                if witness:
-                    break
+        if sharp and below and L.join_of(below) == m:
+            witness = below
         records.append(
             _falsified("local_join_representation", witness)
             if witness

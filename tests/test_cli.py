@@ -152,13 +152,6 @@ def test_enumerate_census_matches_golden_file(capsys, fixtures_dir):
     assert out == golden
 
 
-def test_enumerate_threads_env_is_respected(capsys, monkeypatch):
-    _, baseline = run(capsys, "enumerate", "--chain", "5", "--census")
-    monkeypatch.setenv("SHARPLAT_THREADS", "4")
-    _, threaded = run(capsys, "enumerate", "--chain", "5", "--census")
-    assert baseline == threaded
-
-
 def test_enumerate_poset_file(capsys, fixtures_dir):
     # reuse a lattice fixture as a poset source (mult is ignored)
     code, out = run_json(

@@ -16,6 +16,8 @@ from sharplat.errors import (
     NotAssociative,
     NotCommutative,
     NotDistributive,
+    SharplatError,
+    UnknownElement,
 )
 
 CHAIN3_LEQ = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
@@ -170,6 +172,14 @@ def test_divides_examples(nonsharp5):
     for L in all_gallery():
         for x in L.elements():
             assert L.divides(L.top, x) == x
+
+
+def test_id_of_unknown_name_is_typed(nonsharp5):
+    with pytest.raises(UnknownElement) as err:
+        nonsharp5.id_of("z")
+    # a toolkit error that callers catching ValueError still see
+    assert isinstance(err.value, SharplatError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_divides_returns_least_witness(chain3_idem):

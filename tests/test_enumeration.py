@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from sharplat import enumeration, predicates
-from sharplat.core import FiniteMultLattice
+from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.enumeration import (
     brute_force_structures,
     census,
@@ -34,14 +34,24 @@ def test_diamond_poset_shapes():
 
 
 # counts pinned from the naive filter-every-table oracle (n <= 4), the
-# interior-cell sweep (n = 5) and two-run determinism (n = 6)
-EXPECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94}
-EXPECTED_SHARP = {2: 1, 3: 2, 4: 5, 5: 13, 6: 39}
+# interior-cell sweep (n = 5), two-run determinism (n = 6) and the
+# figures the benchmark's report-small and census workloads check (n = 7, 8)
+EXPECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94, 7: 451, 8: 2386}
+EXPECTED_SHARP = {2: 1, 3: 2, 4: 5, 5: 13, 6: 39, 7: 123, 8: 422}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_chain_structure_counts(n, census_structures):
     structures = census_structures[f"chain{n}"]
+    assert len(structures) == EXPECTED_COUNTS[n]
+    assert sum(predicates.is_sharp(L) for L in structures) == EXPECTED_SHARP[n]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_larger_chain_structure_counts(n):
+    # beyond the fixture's n <= 6: exercises the incremental check on
+    # deeper searches
+    structures = list(enumerate_structures(chain_poset(n)))
     assert len(structures) == EXPECTED_COUNTS[n]
     assert sum(predicates.is_sharp(L) for L in structures) == EXPECTED_SHARP[n]
 
@@ -109,17 +119,10 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
-def test_thread_split_produces_identical_output(monkeypatch):
-    baseline = [L.mult for L in enumerate_structures(chain_poset(5))]
-    monkeypatch.setenv("SHARPLAT_THREADS", "3")
-    threaded = [L.mult for L in enumerate_structures(chain_poset(5))]
-    assert baseline == threaded
-
-
 def test_pruning_soundness_with_propagation_disabled(monkeypatch, census_structures):
     # with incremental associativity/distributivity checks switched off,
     # leaf validation alone must accept exactly the same tables
-    monkeypatch.setattr(enumeration, "_consistent", lambda table, joins, n: True)
+    monkeypatch.setattr(enumeration, "_consistent", lambda *args: True)
     for key in ("chain5", "chain6", "diamond3"):
         poset = (
             chain_poset(int(key[-1]))
@@ -128,6 +131,47 @@ def test_pruning_soundness_with_propagation_disabled(monkeypatch, census_structu
         )
         unpruned = [L.mult for L in enumeration.enumerate_structures(poset)]
         assert unpruned == [L.mult for L in census_structures[key]]
+
+
+def _split_poset():
+    """0 < p, q < c < 1: p v q = c is neither p, q nor the top."""
+    rank = [0, 1, 1, 2, 3]
+    leq = [[i == j or rank[i] < rank[j] for j in range(5)] for i in range(5)]
+    return FinitePoset(["0", "p", "q", "c", "1"], leq)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["walk", "reversed"])
+@pytest.mark.parametrize(
+    "poset",
+    [
+        chain_poset(5),
+        chain_poset(6),
+        diamond_poset(2),
+        diamond_poset(3),
+        _split_poset(),
+    ],
+    ids=["chain5", "chain6", "diamond2", "diamond3", "split5"],
+)
+def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse):
+    # every triple of a complete table was checked when its last cell
+    # was set, whatever the cell order, so leaf validation must never
+    # reject a table
+    expected = [L.flat_mult() for L in enumerate_structures(poset)]
+    rejected = []
+    validate = enumeration.FiniteMultLattice
+
+    def counting_validate(poset, table):
+        try:
+            return validate(poset, table)
+        except SharplatError:
+            rejected.append([row[:] for row in table])
+            raise
+
+    monkeypatch.setattr(enumeration, "FiniteMultLattice", counting_validate)
+    cells = enumeration._free_cells(poset)
+    found = enumeration._search(poset, cells[::-1] if reverse else cells)
+    assert rejected == []
+    assert sorted(L.flat_mult() for L in found) == expected
 
 
 def test_every_structure_passes_validator(census_structures):

@@ -118,6 +118,8 @@ def test_z_element_validation():
         ZMinusElement(-1)
     with pytest.raises(ValueError):
         ZMinusElement(1.5)
+    with pytest.raises(ValueError):
+        ZMinusElement(True)
     assert ZMinusElement(INFINITE) == Z_BOTTOM
 
 

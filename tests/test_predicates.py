@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharplat import constructions, enumeration, gallery, predicates
+from sharplat import constructions, enumeration, gallery, parse_lattice, predicates
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
     element_profile,
@@ -332,6 +332,19 @@ def test_audit_verified_nonvacuously_on_sharp_locals(census_structures):
         assert audit.record("local_join_representation").status == "verified"
         hit += 1
     assert hit == 13
+
+
+def test_local_join_representation_on_sharp_valuation_chain32():
+    # m^i * m^j = m^(i+j), or 0 past the end: a sharp local chain with
+    # 32 join-principal elements, far past any subset search.  Id i is
+    # m^(n-1-i), so the product of ids i and j is id i + j - (n - 1).
+    n = 32
+    names = ["0", *(f"m{e}" for e in range(n - 2, 0, -1)), "1"]
+    mult = [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
+    leq = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
+    L = parse_lattice({"elements": names, "leq": leq, "mult": mult})
+    record = theorem_audit(L).record("local_join_representation")
+    assert record.status == "verified" and not record.vacuous
 
 
 def test_claim_falsified_raised_on_a_lying_sharpness_check(monkeypatch):
