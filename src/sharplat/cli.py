@@ -140,11 +140,7 @@ def cmd_enumerate(args) -> int:
         structures = list(enumeration.enumerate_structures(poset))
         if args.audit_each:
             for L in structures:
-                try:
-                    predicates.theorem_audit(L)
-                except ClaimFalsified as exc:
-                    exc.lattice_document = L.serialize()
-                    raise
+                enumeration._audit(L)
         out = {
             "poset": {
                 "elements": list(poset.names),

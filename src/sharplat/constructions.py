@@ -1,10 +1,11 @@
 """Localization at a prime element and factor (quotient) lattices.
 
-Both constructions materialize their carrier as a sub-carrier of the
-input lattice in canonical id order, rebuild the induced structure, and
-re-run full validation from scratch: a validation failure here would
-mean a bug in the construction, so it surfaces as
-InternalValidationFailure instead of an ordinary input error.
+Both constructions share one builder: it materializes the carrier as a
+sub-carrier of the input lattice in canonical id order, rebuilds the
+induced structure through a projection onto that carrier, and re-runs
+full validation from scratch.  A validation failure there would mean a
+bug in the construction, so it surfaces as InternalValidationFailure
+instead of an ordinary input error.
 """
 
 from __future__ import annotations
@@ -69,6 +70,24 @@ def localize_element(
     return _localize_element(L, p, x)
 
 
+def _sublattice(L, image, project, provenance, what):
+    """The lattice on the sub-carrier ``image`` (original ids, ascending)
+    with multiplication (x, y) -> project(xy), validated from scratch,
+    and the projection of every element of L as new ids.  ``what``
+    names the construction in an InternalValidationFailure."""
+    index = {old: new for new, old in enumerate(image)}
+    names = [L.names[i] for i in image]
+    leq = [[L.le(i, j) for j in image] for i in image]
+    mult = [[index[project(L.mul(i, j))] for j in image] for i in image]
+    try:
+        lattice = FiniteMultLattice(FinitePoset(names, leq), mult, provenance)
+    except SharplatError as exc:
+        raise InternalValidationFailure(
+            f"{what} structure failed validation: {exc}", witness=exc.witness
+        ) from exc
+    return lattice, tuple(index[project(x)] for x in L.elements())
+
+
 def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     """The image lattice L_p = {x_p} with multiplication (x, y) -> (xy)_p.
 
@@ -78,21 +97,9 @@ def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     _require_prime(L, p)
     loc = [_localize_element(L, p, x) for x in L.elements()]
     image = tuple(sorted(set(loc)))
-    index = {old: new for new, old in enumerate(image)}
-    names = [L.names[i] for i in image]
-    leq = [[L.le(i, j) for j in image] for i in image]
-    mult = [[index[loc[L.mul(i, j)]] for j in image] for i in image]
-    try:
-        lattice = FiniteMultLattice(
-            FinitePoset(names, leq),
-            mult,
-            provenance={"localized_at": L.names[p]},
-        )
-    except SharplatError as exc:
-        raise InternalValidationFailure(
-            f"localized structure failed validation: {exc}", witness=exc.witness
-        ) from exc
-    projection = tuple(index[loc[x]] for x in L.elements())
+    lattice, projection = _sublattice(
+        L, image, loc.__getitem__, {"localized_at": L.names[p]}, "localized"
+    )
     return LocalizationResult(lattice, projection, image)
 
 
@@ -105,19 +112,7 @@ def quotient(L: FiniteMultLattice, a: ElementId) -> QuotientResult:
     if a == L.top:
         raise DegenerateQuotient("quotient by top is a one-point lattice")
     image = tuple(x for x in L.elements() if L.le(a, x))
-    index = {old: new for new, old in enumerate(image)}
-    names = [L.names[i] for i in image]
-    leq = [[L.le(i, j) for j in image] for i in image]
-    mult = [[index[L.join(L.mul(i, j), a)] for j in image] for i in image]
-    try:
-        lattice = FiniteMultLattice(
-            FinitePoset(names, leq),
-            mult,
-            provenance={"quotient_by": L.names[a]},
-        )
-    except SharplatError as exc:
-        raise InternalValidationFailure(
-            f"factor structure failed validation: {exc}", witness=exc.witness
-        ) from exc
-    projection = tuple(index[L.join(x, a)] for x in L.elements())
+    lattice, projection = _sublattice(
+        L, image, lambda x: L.join(x, a), {"quotient_by": L.names[a]}, "factor"
+    )
     return QuotientResult(lattice, projection, image)

@@ -11,6 +11,11 @@ Element ids are plain ints indexing the canonical carrier order: bottom
 is always id 0, top is always id ``size - 1``, and the order is a
 topological (linear) extension of ``leq``.  Ids are only meaningful
 relative to the lattice that issued them.
+
+``FinitePoset`` and ``FiniteMultLattice`` answer order queries (``le``,
+``join``, ``meet_of``, ...) through one shared base reading the same
+tables, and ``parse_poset`` and ``parse_lattice`` share one document
+loader, so both report the same schema diagnostics.
 """
 
 from __future__ import annotations
@@ -58,41 +63,25 @@ def _check_partial_order(leq: tuple[tuple[bool, ...], ...]) -> None:
                         )
 
 
-def _lub_table(leq) -> tuple[tuple[int, ...], ...]:
-    """All-pairs least upper bounds; NotALattice on a pair without one."""
-    n = len(leq)
+def _bound_table(rel, side: str, extreme: str) -> tuple[tuple[int, ...], ...]:
+    """All-pairs best bounds under ``rel``: least upper bounds for
+    ``leq``, greatest lower bounds for its transpose.  ``side`` and
+    ``extreme`` ("upper", "least") word the NotALattice raised on the
+    first pair without one."""
+    n = len(rel)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            if not uppers:
-                raise NotALattice(f"({i}, {j}) has no upper bound", witness=(i, j))
-            least = [u for u in uppers if all(leq[u][v] for v in uppers)]
-            if not least:
+            bounds = [k for k in range(n) if rel[i][k] and rel[j][k]]
+            if not bounds:
+                raise NotALattice(f"({i}, {j}) has no {side} bound", witness=(i, j))
+            best = [u for u in bounds if all(rel[u][v] for v in bounds)]
+            if not best:
                 raise NotALattice(
-                    f"({i}, {j}) has no least upper bound", witness=(i, j)
+                    f"({i}, {j}) has no {extreme} {side} bound", witness=(i, j)
                 )
-            row.append(least[0])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _glb_table(leq) -> tuple[tuple[int, ...], ...]:
-    n = len(leq)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lowers = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            if not lowers:
-                raise NotALattice(f"({i}, {j}) has no lower bound", witness=(i, j))
-            greatest = [u for u in lowers if all(leq[v][u] for v in lowers)]
-            if not greatest:
-                raise NotALattice(
-                    f"({i}, {j}) has no greatest lower bound", witness=(i, j)
-                )
-            row.append(greatest[0])
+            row.append(best[0])
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -117,62 +106,12 @@ def canonical_permutation(leq) -> list[int]:
     return placed
 
 
-class FinitePoset:
-    """A finite lattice-ordered carrier in canonical order.
+class _Order:
+    """Order queries on a canonical carrier, shared by posets and
+    multiplicative lattices; reads the ``size``, ``leq``, ``joins`` and
+    ``meets`` tables of the instance."""
 
-    ``names`` are distinct labels; ``leq`` is the full order relation.
-    The constructor validates the partial-order and lattice axioms and
-    requires canonical element order (bottom id 0, top id size-1,
-    topological); the parsing helpers canonicalize raw input first.
-    """
-
-    __slots__ = ("size", "names", "leq", "joins", "meets")
-
-    def __init__(self, names: Iterable[str], leq) -> None:
-        names = tuple(str(x) for x in names)
-        n = len(names)
-        if n == 0:
-            raise NotALattice("empty carrier has no bottom/top")
-        if len(set(names)) != n:
-            raise BadSchema("element names are not distinct")
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(leq) != n or any(len(row) != n for row in leq):
-            raise BadSchema(f"leq must be {n}x{n}")
-        _check_partial_order(leq)
-        self.size = n
-        self.names = names
-        self.leq = leq
-        self.joins = _lub_table(leq)
-        self.meets = _glb_table(leq)
-        if any(not leq[0][i] for i in range(n)):
-            raise InternalValidationFailure("carrier not in canonical order: bottom")
-        if any(not leq[i][n - 1] for i in range(n)):
-            raise InternalValidationFailure("carrier not in canonical order: top")
-        for i in range(n):
-            for j in range(i):
-                if leq[i][j] and i != j:
-                    raise InternalValidationFailure(
-                        "carrier not in canonical order: not topological"
-                    )
-
-    @classmethod
-    def from_raw(cls, names, leq) -> tuple["FinitePoset", list[int]]:
-        """Canonicalize arbitrary element order, then build.
-
-        Returns the poset and the permutation ``order[new_id] = old_id``
-        so companion tables can be reordered the same way.
-        """
-        names = tuple(str(x) for x in names)
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(leq) != len(names) or any(len(row) != len(names) for row in leq):
-            raise BadSchema(f"leq must be {len(names)}x{len(names)}")
-        _check_partial_order(leq)
-        order = canonical_permutation(leq)
-        new_names = [names[o] for o in order]
-        new_leq = [[leq[a][b] for b in order] for a in order]
-        return cls(new_names, new_leq), order
-
-    # -- order queries ------------------------------------------------
+    __slots__ = ()
 
     @property
     def bottom(self) -> ElementId:
@@ -207,6 +146,62 @@ class FinitePoset:
         for x in ids:
             out = self.meets[out][x]
         return out
+
+
+class FinitePoset(_Order):
+    """A finite lattice-ordered carrier in canonical order.
+
+    ``names`` are distinct labels; ``leq`` is the full order relation.
+    The constructor validates the partial-order and lattice axioms and
+    requires canonical element order (bottom id 0, top id size-1,
+    topological); the parsing helpers canonicalize raw input first.
+    """
+
+    __slots__ = ("size", "names", "leq", "joins", "meets")
+
+    def __init__(self, names: Iterable[str], leq) -> None:
+        names = tuple(str(x) for x in names)
+        n = len(names)
+        if n == 0:
+            raise NotALattice("empty carrier has no bottom/top")
+        if len(set(names)) != n:
+            raise BadSchema("element names are not distinct")
+        leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        if len(leq) != n or any(len(row) != n for row in leq):
+            raise BadSchema(f"leq must be {n}x{n}")
+        _check_partial_order(leq)
+        self.size = n
+        self.names = names
+        self.leq = leq
+        self.joins = _bound_table(leq, "upper", "least")
+        self.meets = _bound_table(tuple(zip(*leq)), "lower", "greatest")
+        if any(not leq[0][i] for i in range(n)):
+            raise InternalValidationFailure("carrier not in canonical order: bottom")
+        if any(not leq[i][n - 1] for i in range(n)):
+            raise InternalValidationFailure("carrier not in canonical order: top")
+        for i in range(n):
+            for j in range(i):
+                if leq[i][j] and i != j:
+                    raise InternalValidationFailure(
+                        "carrier not in canonical order: not topological"
+                    )
+
+    @classmethod
+    def from_raw(cls, names, leq) -> tuple["FinitePoset", list[int]]:
+        """Canonicalize arbitrary element order, then build.
+
+        Returns the poset and the permutation ``order[new_id] = old_id``
+        so companion tables can be reordered the same way.
+        """
+        names = tuple(str(x) for x in names)
+        leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        if len(leq) != len(names) or any(len(row) != len(names) for row in leq):
+            raise BadSchema(f"leq must be {len(names)}x{len(names)}")
+        _check_partial_order(leq)
+        order = canonical_permutation(leq)
+        new_names = [names[o] for o in order]
+        new_leq = [[leq[a][b] for b in order] for a in order]
+        return cls(new_names, new_leq), order
 
     def is_chain(self) -> bool:
         return all(
@@ -258,8 +253,13 @@ class FinitePoset:
         return f"FinitePoset({list(self.names)!r})"
 
 
-class FiniteMultLattice:
+class FiniteMultLattice(_Order):
     """A finite multiplicative lattice with precomputed derived tables.
+
+    The order tables (``size``, ``names``, ``leq``, ``joins``, ``meets``)
+    are copied from ``poset``, which is kept, so the order queries are
+    the ones a poset answers.  It is not a poset subclass: a poset and a
+    lattice on it never compare equal.
 
     Validation checks, in order: commutativity, identity (top acts as
     1), multiplication by bottom (the empty-join distributivity law
@@ -272,7 +272,10 @@ class FiniteMultLattice:
     pure read, so validated lattices are safe to share freely.
     """
 
-    __slots__ = ("poset", "mult", "residuals", "provenance")
+    __slots__ = (
+        "poset", "size", "names", "leq", "joins", "meets",
+        "mult", "residuals", "provenance",
+    )
 
     def __init__(self, poset: FinitePoset, mult, provenance: dict | None = None):
         n = poset.size
@@ -282,16 +285,21 @@ class FiniteMultLattice:
         if any(v < 0 or v >= n for row in mult for v in row):
             raise BadSchema("mult entries out of range")
         self.poset = poset
+        self.size = n
+        self.names = poset.names
+        self.leq = poset.leq
+        self.joins = poset.joins
+        self.meets = poset.meets
         self.mult = mult
         self.provenance = dict(provenance) if provenance else {}
         self._validate()
         self.residuals = self._residual_table()
 
     def _validate(self) -> None:
-        n = self.poset.size
+        n = self.size
         mult = self.mult
-        joins = self.poset.joins
-        meets = self.poset.meets
+        joins = self.joins
+        meets = self.meets
         top = n - 1
         for x in range(n):
             for y in range(x + 1, n):
@@ -325,16 +333,16 @@ class FiniteMultLattice:
                         )
         for x in range(n):
             for y in range(n):
-                if not self.poset.leq[mult[x][y]][meets[x][y]]:
+                if not self.leq[mult[x][y]][meets[x][y]]:
                     raise InternalValidationFailure(
                         f"derived bound xy <= x^y fails at ({x}, {y})",
                         witness=(x, y),
                     )
 
     def _residual_table(self):
-        n = self.poset.size
-        leq = self.poset.leq
-        joins = self.poset.joins
+        n = self.size
+        leq = self.leq
+        joins = self.joins
         mult = self.mult
         rows = []
         for y in range(n):
@@ -350,47 +358,13 @@ class FiniteMultLattice:
 
     # -- carrier ------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return self.poset.size
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.poset.names
-
-    @property
-    def bottom(self) -> ElementId:
-        return 0
-
-    @property
-    def top(self) -> ElementId:
-        return self.poset.size - 1
-
     def id_of(self, name: str) -> ElementId:
         try:
-            return self.poset.names.index(name)
+            return self.names.index(name)
         except ValueError:
             raise UnknownElement(f"no element named {name!r}", name) from None
 
     # -- operations ---------------------------------------------------
-
-    def le(self, x: ElementId, y: ElementId) -> bool:
-        return self.poset.leq[x][y]
-
-    def lt(self, x: ElementId, y: ElementId) -> bool:
-        return x != y and self.poset.leq[x][y]
-
-    def join(self, x: ElementId, y: ElementId) -> ElementId:
-        return self.poset.joins[x][y]
-
-    def meet(self, x: ElementId, y: ElementId) -> ElementId:
-        return self.poset.meets[x][y]
-
-    def join_of(self, ids: Iterable[ElementId]) -> ElementId:
-        return self.poset.join_of(ids)
-
-    def meet_of(self, ids: Iterable[ElementId]) -> ElementId:
-        return self.poset.meet_of(ids)
 
     def mul(self, x: ElementId, y: ElementId) -> ElementId:
         return self.mult[x][y]
@@ -402,13 +376,13 @@ class FiniteMultLattice:
     def divides(self, a: ElementId, b: ElementId) -> ElementId | None:
         """Least witness c with ``a*c == b``, or None if a never reaches b."""
         row = self.mult[a]
-        for c in range(self.poset.size):
+        for c in range(self.size):
             if row[c] == b:
                 return c
         return None
 
     def elements(self) -> Iterator[ElementId]:
-        return iter(range(self.poset.size))
+        return iter(range(self.size))
 
     def flat_mult(self) -> tuple[int, ...]:
         """Row-major multiplication table, the canonical sort key for
@@ -420,8 +394,8 @@ class FiniteMultLattice:
     def serialize(self) -> dict:
         """Canonical-order document in the interchange schema."""
         doc: dict = {
-            "elements": list(self.poset.names),
-            "leq": [[1 if v else 0 for v in row] for row in self.poset.leq],
+            "elements": list(self.names),
+            "leq": [[1 if v else 0 for v in row] for row in self.leq],
             "mult": [list(row) for row in self.mult],
         }
         for key in _PROVENANCE_KEYS:
@@ -445,7 +419,7 @@ class FiniteMultLattice:
         return hash((self.poset, self.mult))
 
     def __repr__(self) -> str:
-        return f"FiniteMultLattice({list(self.poset.names)!r})"
+        return f"FiniteMultLattice({list(self.names)!r})"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -453,32 +427,41 @@ def _require(condition: bool, message: str) -> None:
         raise BadSchema(message)
 
 
-def parse_poset(document: dict | str) -> FinitePoset:
-    """Read and canonicalize the order part of a lattice document."""
+def _load(document: dict | str, keys: tuple[str, ...]) -> dict:
+    """Decode a lattice document and check its shape: an object holding
+    ``keys`` (``"elements"`` first, then n x n matrices), non-empty
+    string names, and a 0/1 ``leq``."""
     if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise BadSchema(f"not valid JSON: {exc}") from exc
     _require(isinstance(document, dict), "document must be a JSON object")
-    _require("elements" in document, 'missing "elements"')
-    _require("leq" in document, 'missing "leq"')
+    for key in keys:
+        _require(key in document, f'missing "{key}"')
     elements = document["elements"]
-    leq = document["leq"]
     _require(isinstance(elements, list) and elements, '"elements" must be a non-empty list')
     _require(all(isinstance(e, str) for e in elements), "element names must be strings")
     n = len(elements)
+    for key in keys[1:]:
+        mat = document[key]
+        _require(
+            isinstance(mat, list) and len(mat) == n and all(
+                isinstance(row, list) and len(row) == n for row in mat
+            ),
+            f'"{key}" must be a {n}x{n} matrix',
+        )
     _require(
-        isinstance(leq, list) and len(leq) == n and all(
-            isinstance(row, list) and len(row) == n for row in leq
-        ),
-        f'"leq" must be a {n}x{n} matrix',
-    )
-    _require(
-        all(v in (0, 1, True, False) for row in leq for v in row),
+        all(v in (0, 1, True, False) for row in document["leq"] for v in row),
         '"leq" entries must be 0/1',
     )
-    poset, _ = FinitePoset.from_raw(elements, leq)
+    return document
+
+
+def parse_poset(document: dict | str) -> FinitePoset:
+    """Read and canonicalize the order part of a lattice document."""
+    document = _load(document, ("elements", "leq"))
+    poset, _ = FinitePoset.from_raw(document["elements"], document["leq"])
     return poset
 
 
@@ -490,36 +473,14 @@ def parse_lattice(document: dict | str) -> FiniteMultLattice:
     order otherwise).  Raises BadSchema for shape problems and the
     specific axiom error (with witness) for structural ones.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise BadSchema(f"not valid JSON: {exc}") from exc
-    _require(isinstance(document, dict), "document must be a JSON object")
-    for key in ("elements", "leq", "mult"):
-        _require(key in document, f'missing "{key}"')
-    elements = document["elements"]
-    leq = document["leq"]
+    document = _load(document, ("elements", "leq", "mult"))
+    n = len(document["elements"])
     mult = document["mult"]
-    _require(isinstance(elements, list) and elements, '"elements" must be a non-empty list')
-    _require(all(isinstance(e, str) for e in elements), "element names must be strings")
-    n = len(elements)
-    for key, mat in (("leq", leq), ("mult", mult)):
-        _require(
-            isinstance(mat, list) and len(mat) == n and all(
-                isinstance(row, list) and len(row) == n for row in mat
-            ),
-            f'"{key}" must be a {n}x{n} matrix',
-        )
-    _require(
-        all(v in (0, 1, True, False) for row in leq for v in row),
-        '"leq" entries must be 0/1',
-    )
     _require(
         all(isinstance(v, int) and 0 <= v < n for row in mult for v in row),
         '"mult" entries must be element indices',
     )
-    poset, order = FinitePoset.from_raw(elements, leq)
+    poset, order = FinitePoset.from_raw(document["elements"], document["leq"])
     inverse = [0] * n
     for new, old in enumerate(order):
         inverse[old] = new

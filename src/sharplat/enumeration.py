@@ -266,12 +266,7 @@ def census(
         if len(predicates.principal_elements(L)) == L.size:
             all_principal += 1
         if audit_each:
-            try:
-                predicates.theorem_audit(L)
-            except SharplatError as exc:
-                if getattr(exc, "lattice_document", None) is None:
-                    exc.lattice_document = L.serialize()
-                raise
+            _audit(L)
         if keep_representatives:
             reps.append(L.serialize())
         if autos is not None:
@@ -286,6 +281,17 @@ def census(
         representatives=tuple(reps) if keep_representatives else None,
         distinct_up_to_automorphism=len(canon) if autos is not None else None,
     )
+
+
+def _audit(L: FiniteMultLattice) -> None:
+    """Run the claim audit on L; a failure carries L's document as
+    ``lattice_document`` for the report."""
+    try:
+        predicates.theorem_audit(L)
+    except SharplatError as exc:
+        if getattr(exc, "lattice_document", None) is None:
+            exc.lattice_document = L.serialize()
+        raise
 
 
 def _canonical_key(L: FiniteMultLattice, autos) -> tuple[int, ...]:

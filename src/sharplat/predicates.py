@@ -246,7 +246,7 @@ def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
         is_principally_generated=pg,
         is_prufer=all_principal,
         is_dedekind=all_principal,
-        is_pseudo_dedekind=pseudo_dedekind_witness(L) is None,
+        is_pseudo_dedekind=_pseudo_dedekind_witness(L, principals) is None,
         is_h_local=h_local,
         dimension=_dimension(L, nonzero_primes),
     )
@@ -267,7 +267,10 @@ def _dimension(L, nonzero_primes) -> int:
 def pseudo_dedekind_witness(L: FiniteMultLattice) -> tuple | None:
     """None when (x:a) is principal for every principal x and every a;
     otherwise the least offending (x, a)."""
-    principals = set(principal_elements(L))
+    return _pseudo_dedekind_witness(L, set(principal_elements(L)))
+
+
+def _pseudo_dedekind_witness(L, principals: set) -> tuple | None:
     for x in sorted(principals):
         for a in L.elements():
             if L.residual(x, a) not in principals:
@@ -424,8 +427,8 @@ class PrincipalMonoidReport:
 
 def principal_monoid(L: FiniteMultLattice) -> PrincipalMonoidReport:
     principals = principal_elements(L)
-    profile = lattice_profile(L)
-    if not (profile.is_pseudo_dedekind and profile.is_domain):
+    is_domain = prime_witness(L, 0) is None
+    if not (is_domain and _pseudo_dedekind_witness(L, set(principals)) is None):
         return PrincipalMonoidReport(principals, False, None, None)
     holds, witness = _lcm_law(L, principals)
     return PrincipalMonoidReport(principals, True, holds, witness)
@@ -640,7 +643,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
     elif not sharp:
         records.append(_verified("sharp_implies_pseudo_dedekind", vacuous=True))
     else:
-        w = pseudo_dedekind_witness(L)
+        w = _pseudo_dedekind_witness(L, principals)
         records.append(
             _verified("sharp_implies_pseudo_dedekind")
             if w is None

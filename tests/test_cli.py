@@ -192,6 +192,24 @@ def test_enumerate_audit_each_clean(capsys):
     assert out["total_structures"] == 6
 
 
+@pytest.mark.parametrize("census", [[], ["--census"]])
+def test_enumerate_audit_each_reports_falsified_claim(capsys, monkeypatch, census):
+    # forcing the sharpness antecedent to true trips the maximal-square-gap
+    # claim on the all-nil 4-chain, the first structure in table order
+    from sharplat import enumeration, predicates
+    from sharplat.core import FiniteMultLattice
+
+    monkeypatch.setattr(predicates, "is_sharp", lambda L: True)
+    code, out = run_json(capsys, "enumerate", "--chain", "4", "--audit-each", *census)
+    assert code == 3
+    assert out["error"] == "ClaimFalsified"
+    assert out["claim"] == "maximal_square_gap"
+    assert out["witness"] == [2, 1]
+    nil = [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 3]]
+    expected = FiniteMultLattice(enumeration.chain_poset(4), nil).serialize()
+    assert out["lattice"] == expected
+
+
 def test_enumerate_size_too_small(capsys):
     code, out = run_json(capsys, "enumerate", "--chain", "1", "--census")
     assert code == 2

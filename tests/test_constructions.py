@@ -4,7 +4,12 @@ import pytest
 
 from sharplat import constructions, enumeration, predicates
 from sharplat.constructions import localize, localize_element, quotient
-from sharplat.errors import DegenerateQuotient, NotPrime
+from sharplat.errors import (
+    DegenerateQuotient,
+    InternalValidationFailure,
+    NotAssociative,
+    NotPrime,
+)
 
 
 # -- localize_element ---------------------------------------------------
@@ -178,3 +183,19 @@ def test_quotient_preserves_sharp(census_structures):
                 assert predicates.is_sharp(quotient(L, a).lattice)
                 checked += 1
     assert checked > 0
+
+
+# -- shared builder -----------------------------------------------------
+
+
+@pytest.mark.parametrize("build,what", [(localize, "localized"), (quotient, "factor")])
+def test_builder_wraps_validation_failure(monkeypatch, diamond, build, what):
+    def reject(*args, **kwargs):
+        raise NotAssociative("injected", witness=(1, 2, 3))
+
+    monkeypatch.setattr(constructions, "FiniteMultLattice", reject)
+    with pytest.raises(InternalValidationFailure) as err:
+        build(diamond, diamond.id_of("p"))
+    assert str(err.value) == f"{what} structure failed validation: injected"
+    assert err.value.witness == (1, 2, 3)
+    assert isinstance(err.value.__cause__, NotAssociative)

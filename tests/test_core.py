@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharplat import enumeration, gallery, parse_lattice
+from sharplat import enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.errors import (
     BadSchema,
@@ -79,6 +79,86 @@ def test_bad_schema(doc, message):
     with pytest.raises(BadSchema) as err:
         parse_lattice(doc)
     assert message in str(err.value)
+
+
+_TWO = {"elements": ["0", "1"], "leq": [[1, 1], [0, 1]], "mult": [[0, 0], [0, 1]]}
+
+
+def _without(key):
+    return {k: v for k, v in _TWO.items() if k != key}
+
+
+@pytest.mark.parametrize("parse", [parse_poset, parse_lattice])
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([1, 2], "document must be a JSON object"),
+        ("[1, 2]", "document must be a JSON object"),
+        (_without("elements"), 'missing "elements"'),
+        (_without("leq"), 'missing "leq"'),
+        ({**_TWO, "elements": []}, '"elements" must be a non-empty list'),
+        ({**_TWO, "elements": ["0", 1]}, "element names must be strings"),
+        ({**_TWO, "leq": [[1, 1]]}, '"leq" must be a 2x2 matrix'),
+        ({**_TWO, "leq": [[1, 2], [0, 1]]}, '"leq" entries must be 0/1'),
+    ],
+)
+def test_schema_diagnostics_are_exact(parse, doc, message):
+    with pytest.raises(BadSchema) as err:
+        parse(doc)
+    assert str(err.value) == message
+    assert err.value.witness is None
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_without("mult"), 'missing "mult"'),
+        ({**_TWO, "mult": [[0, 0]]}, '"mult" must be a 2x2 matrix'),
+        ({**_TWO, "mult": [[0, 9], [0, 1]]}, '"mult" entries must be element indices'),
+    ],
+)
+def test_mult_diagnostics_are_exact(doc, message):
+    with pytest.raises(BadSchema) as err:
+        parse_lattice(doc)
+    assert str(err.value) == message
+    # the order part alone is a valid poset document
+    assert parse_poset(doc).names == ("0", "1")
+
+
+@pytest.mark.parametrize("parse", [parse_poset, parse_lattice])
+def test_invalid_json_text_diagnostic(parse):
+    text = "{not json"
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    with pytest.raises(BadSchema) as err:
+        parse(text)
+    assert str(err.value) == f"not valid JSON: {decode.value}"
+
+
+def _below(n, pairs):
+    return [[int(i == j or (i, j) in pairs) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "names,leq,message,witness",
+    [
+        # 0 < p, q < r, s < 1: p and q have two minimal upper bounds
+        (
+            ["0", "p", "q", "r", "s", "1"],
+            _below(6, {(0, j) for j in range(6)} | {(i, 5) for i in range(6)}
+                   | {(i, j) for i in (1, 2) for j in (3, 4)}),
+            "(1, 2) has no least upper bound",
+            (1, 2),
+        ),
+        # a, b < c: no bottom
+        (["a", "b", "c"], _below(3, {(0, 2), (1, 2)}), "(0, 1) has no lower bound", (0, 1)),
+    ],
+)
+def test_not_a_lattice_diagnostics_are_exact(names, leq, message, witness):
+    with pytest.raises(NotALattice) as err:
+        parse_poset({"elements": names, "leq": leq})
+    assert str(err.value) == message
+    assert err.value.witness == witness
 
 
 def test_not_a_partial_order_non_transitive():
