@@ -2,14 +2,19 @@
 report, and the audit harness that re-checks each finite-scale claim of
 the underlying theory on a concrete lattice.
 
-All quantifiers are evaluated by exhaustive scan over the carrier, and
-every negative answer carries the least witness in canonical order
-(lexicographic for tuples), so reports are reproducible.
+Quantifiers are evaluated over the whole carrier by reading the
+lattice's ``mult``, ``leq``, ``joins``/``meets`` and ``residuals``
+tables row by row; the definitional sharpness route works on bitmask
+sets instead, and its factorization witnesses come from a full scan
+run only when they are read.  Every negative answer carries the least
+witness in canonical order (lexicographic for tuples), so reports are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import ElementId, FiniteMultLattice
 from .errors import ClaimFalsified, InternalEquivalenceViolation
@@ -24,9 +29,12 @@ def prime_witness(L: FiniteMultLattice, p: ElementId) -> tuple | None:
     and gets the witness ()."""
     if p == L.top:
         return ()
-    for x in L.elements():
-        for y in L.elements():
-            if L.le(L.mul(x, y), p) and not L.le(x, p) and not L.le(y, p):
+    leq = L.leq
+    for x, row in enumerate(L.mult):
+        if leq[x][p]:
+            continue
+        for y, xy in enumerate(row):
+            if leq[xy][p] and not leq[y][p]:
                 return (x, y)
     return None
 
@@ -37,14 +45,7 @@ def prime_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
 
 def maximal_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
     """Elements maximal in L - {top}."""
-    top = L.top
-    out = []
-    for p in L.elements():
-        if p == top:
-            continue
-        if all(x == p or x == top or not L.le(p, x) for x in L.elements()):
-            out.append(p)
-    return tuple(out)
+    return tuple(p for p in L.elements() if _maximal_witness(L, p) is None)
 
 
 def _maximal_witness(L, x):
@@ -57,18 +58,21 @@ def _maximal_witness(L, x):
 
 
 def _cancellative_witness(L, x):
-    for y in L.elements():
-        for z in range(y + 1, L.size):
-            if L.mul(x, y) == L.mul(x, z):
-                return (y, z)
+    row = L.mult[x]
+    for y, xy in enumerate(row):
+        if xy in row[y + 1:]:
+            return (y, row.index(xy, y + 1))
     return None
 
 
 def _meet_principal_witness(L, x):
     """y ^ zx == ((y:x) ^ z) x for all y, z."""
-    for y in L.elements():
-        for z in L.elements():
-            if L.meet(y, L.mul(z, x)) != L.mul(L.meet(L.residual(y, x), z), x):
+    mx = L.mult[x]  # zx == xz
+    meets, residuals = L.meets, L.residuals
+    for y, my in enumerate(meets):
+        mr = meets[residuals[y][x]]
+        for z in range(L.size):
+            if my[mx[z]] != mx[mr[z]]:
                 return (y, z)
     return None
 
@@ -83,9 +87,13 @@ def _weak_meet_principal_witness(L, x):
 
 def _join_principal_witness(L, x):
     """y v (z:x) == ((yx v z) : x) for all y, z."""
-    for y in L.elements():
-        for z in L.elements():
-            if L.join(y, L.residual(z, x)) != L.residual(L.join(L.mul(y, x), z), x):
+    mx = L.mult[x]
+    rx = [row[x] for row in L.residuals]  # (z:x) for every z
+    joins = L.joins
+    for y, jy in enumerate(joins):
+        jyx = joins[mx[y]]
+        for z in range(L.size):
+            if jy[rx[z]] != rx[jyx[z]]:
                 return (y, z)
     return None
 
@@ -182,10 +190,10 @@ def is_sharp(L: FiniteMultLattice) -> bool:
 
 
 def _residual_identity_counterexample(L) -> tuple | None:
-    for a in L.elements():
-        for b in L.elements():
-            ab = L.residual(a, b)
-            if L.mul(L.residual(a, ab), ab) != a:
+    mult = L.mult
+    for a, ra in enumerate(L.residuals):
+        for b, ab in enumerate(ra):  # ab = (a:b)
+            if mult[ra[ab]][ab] != a:
                 return (a, b)
     return None
 
@@ -293,8 +301,9 @@ class SharpnessReport:
     ``counterexample`` is the least (a, b) failing the residual identity
     when the lattice is not sharp.  ``factorization_witnesses`` maps
     each (a1, a2, b) with a1 a2 <= b to the least factorization
-    (b1, b2) of b with a_i <= b_i; it is populated only when the
-    definitional check passes.
+    (b1, b2) of b with a_i <= b_i, and is empty when the lattice is not
+    sharp.  It is built on first access, by a full scan of ``lattice``;
+    like ``lattice`` it takes no part in comparisons.
     """
 
     by_definition: bool
@@ -302,11 +311,15 @@ class SharpnessReport:
     by_divides: bool
     by_restricted_divides: bool
     counterexample: tuple | None
-    factorization_witnesses: dict = field(compare=False)
+    lattice: FiniteMultLattice = field(compare=False, repr=False)
 
     @property
     def is_sharp(self) -> bool:
         return self.by_definition
+
+    @cached_property
+    def factorization_witnesses(self) -> dict:
+        return _definition_check(self.lattice)[1]
 
     def to_dict(self, include_witnesses: bool = False) -> dict:
         out = {
@@ -327,9 +340,36 @@ class SharpnessReport:
         return out
 
 
+def _sharp_by_definition(L) -> bool:
+    """The definition as a table check: for every b and every a1 a2 <= b
+    there are b1 >= a1 and b2 >= a2 with b1 b2 = b.  Element sets are
+    bitmasks; reads only ``mult`` and ``leq``, in O(n^3)."""
+    n = L.size
+    mult, leq = L.mult, L.leq
+    ids = range(n)
+    down = [sum(1 << y for y in ids if leq[y][x]) for x in ids]
+    ups = [[y for y in ids if leq[x][y]] for x in ids]
+    cover = [[0] * n for _ in ids]  # [b][b1]: a2 <= some b2 with b1 b2 = b
+    need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 <= b
+    for x, row in enumerate(mult):
+        for y, xy in enumerate(row):
+            cover[xy][x] |= down[y]
+            for b in ups[xy]:
+                need[b][x] |= 1 << y
+    for cb, nb in zip(cover, need):
+        for a1 in ids:
+            reach = 0  # a2 <= some b2 with b1 b2 = b, b1 >= a1
+            for b1 in ups[a1]:
+                reach |= cb[b1]
+            if nb[a1] & ~reach:
+                return False
+    return True
+
+
 def _definition_check(L) -> tuple[bool, dict]:
     """Search a factorization b = b1 b2 with a_i <= b_i for every
-    a1 a2 <= b, by full scan."""
+    a1 a2 <= b, by full scan: the witness builder behind
+    ``factorization_witnesses`` and the oracle for the table route."""
     witnesses = {}
     for a1 in L.elements():
         for a2 in L.elements():
@@ -357,32 +397,21 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
     """Run the four sharpness characterizations independently and check
     that they agree; disagreement is an implementation bug, reported as
     InternalEquivalenceViolation rather than a result."""
-    by_def, witnesses = _definition_check(L)
+    by_def = _sharp_by_definition(L)
 
     ce = _residual_identity_counterexample(L)
     by_residual = ce is None
 
-    by_div = True
-    for a in L.elements():
-        for b in L.elements():
-            if L.divides(L.residual(a, b), a) is None:
-                by_div = False
-                break
-        if not by_div:
-            break
-
-    by_restricted = True
-    for a in L.elements():
-        for b in L.elements():
-            if not (0 != a and L.lt(a, b) and b != L.top):
-                continue
-            if prime_witness(L, a) is None:
-                continue
-            if L.divides(L.residual(a, b), a) is None:
-                by_restricted = False
-                break
-        if not by_restricted:
-            break
+    mult, res, leq, top = L.mult, L.residuals, L.leq, L.top
+    # (a:b) divides a for all a, b
+    by_div = all(a in mult[x] for a, ra in enumerate(res) for x in ra)
+    # ... for all nonprime a != 0 and a < b < top; primality is
+    # decided only for an a that fails divisibility
+    by_restricted = not any(
+        any(leq[a][b] and a not in mult[res[a][b]] for b in range(a + 1, top))
+        and prime_witness(L, a) is not None
+        for a in range(1, top)
+    )
 
     answers = (by_def, by_residual, by_div, by_restricted)
     if len(set(answers)) != 1:
@@ -392,14 +421,7 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
             f"divides={by_div} restricted_divides={by_restricted}",
             witness=ce,
         )
-    return SharpnessReport(
-        by_definition=by_def,
-        by_residual_identity=by_residual,
-        by_divides=by_div,
-        by_restricted_divides=by_restricted,
-        counterexample=ce,
-        factorization_witnesses=witnesses,
-    )
+    return SharpnessReport(*answers, counterexample=ce, lattice=L)
 
 
 # -- principal monoid -------------------------------------------------
@@ -505,6 +527,11 @@ def _falsified(claim, witness):
     return ClaimRecord(claim, True, "falsified", False, witness)
 
 
+def _outcome(claim, witness, vacuous=False):
+    """Falsified at ``witness`` when there is one, else verified."""
+    return _falsified(claim, witness) if witness else _verified(claim, vacuous)
+
+
 def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> TheoremAudit:
     """Check every finite-scale claim on L.
 
@@ -533,11 +560,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
                     break
             if witness:
                 break
-    records.append(
-        _falsified("maximal_square_gap", witness)
-        if witness
-        else _verified("maximal_square_gap", vacuous=not sharp or not maximals)
-    )
+    records.append(_outcome("maximal_square_gap", witness, not sharp or not maximals))
 
     # in a sharp lattice, proper elements with only trivial divisors are prime
     witness = None
@@ -549,11 +572,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
             if divisors <= {p, L.top} and prime_witness(L, p) is not None:
                 witness = (p,)
                 break
-    records.append(
-        _falsified("trivial_divisors_prime", witness)
-        if witness
-        else _verified("trivial_divisors_prime", vacuous=not sharp)
-    )
+    records.append(_outcome("trivial_divisors_prime", witness, not sharp))
 
     # a chain whose consecutive squares dominate their predecessors is sharp
     if not profile.is_totally_ordered or L.size < 4:
@@ -580,11 +599,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
                         break
             if witness:
                 break
-    records.append(
-        _falsified("join_principal_comaximal", witness)
-        if witness
-        else _verified("join_principal_comaximal", vacuous=not sharp)
-    )
+    records.append(_outcome("join_principal_comaximal", witness, not sharp))
 
     # in a local sharp lattice, any join-principal representation of the
     # maximal element contains it
@@ -598,11 +613,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
         witness = None
         if sharp and below and L.join_of(below) == m:
             witness = below
-        records.append(
-            _falsified("local_join_representation", witness)
-            if witness
-            else _verified("local_join_representation", vacuous=not sharp)
-        )
+        records.append(_outcome("local_join_representation", witness, not sharp))
 
     # localization at any prime preserves sharpness
     witness = None
@@ -611,11 +622,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
             if not is_sharp(constructions.localize(L, p).lattice):
                 witness = (p,)
                 break
-    records.append(
-        _falsified("localization_preserves_sharp", witness)
-        if witness
-        else _verified("localization_preserves_sharp", vacuous=not sharp)
-    )
+    records.append(_outcome("localization_preserves_sharp", witness, not sharp))
 
     # principally generated (hence weak Noetherian): sharp iff all principal
     if not profile.is_principally_generated:
@@ -644,11 +651,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
         records.append(_verified("sharp_implies_pseudo_dedekind", vacuous=True))
     else:
         w = _pseudo_dedekind_witness(L, principals)
-        records.append(
-            _verified("sharp_implies_pseudo_dedekind")
-            if w is None
-            else _falsified("sharp_implies_pseudo_dedekind", w)
-        )
+        records.append(_outcome("sharp_implies_pseudo_dedekind", w))
 
     if not pg_domain:
         records.append(_not_applicable("sharp_implies_prufer"))
@@ -667,12 +670,8 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
     elif not profile.is_pseudo_dedekind:
         records.append(_verified("principal_lcm_law", vacuous=True))
     else:
-        holds, w = _lcm_law(L, sorted(principals))
-        records.append(
-            _verified("principal_lcm_law")
-            if holds
-            else _falsified("principal_lcm_law", w)
-        )
+        w = _lcm_law(L, sorted(principals))[1]
+        records.append(_outcome("principal_lcm_law", w))
 
     # h-local domains: residuals localize, (a:b)_m == (a_m : b_m)
     if not (pg_domain and profile.is_h_local):
@@ -697,11 +696,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
                     break
             if witness:
                 break
-        records.append(
-            _falsified("residual_localization", witness)
-            if witness
-            else _verified("residual_localization")
-        )
+        records.append(_outcome("residual_localization", witness))
 
     # nontrivial sharp domains have prime dimension at most one
     if not (pg_domain and L.size > 2):

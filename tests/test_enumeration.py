@@ -56,6 +56,16 @@ def test_larger_chain_structure_counts(n):
     assert sum(predicates.is_sharp(L) for L in structures) == EXPECTED_SHARP[n]
 
 
+@pytest.mark.slow
+def test_chain9_census_counts():
+    # pinned from a census whose definitional route was the full
+    # factorization scan; too slow for the default run
+    result = census(chain_poset(9))
+    assert (result.total, result.sharp, result.domains, result.all_principal) == (
+        13775, 1531, 2386, 1
+    )
+
+
 def test_chain3_structures_are_the_two_nilpotency_classes(census_structures):
     tables = [L.mult for L in census_structures["chain3"]]
     assert tables == [

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharplat import constructions, enumeration, gallery, parse_lattice, predicates
+from sharplat import cli, constructions, enumeration, gallery, parse_lattice, predicates
+from sharplat.core import FinitePoset
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
     element_profile,
@@ -164,6 +165,108 @@ def test_factorization_witnesses_are_factorizations(chain3_nil, diamond):
         for (a1, a2, b), (b1, b2) in report.factorization_witnesses.items():
             assert L.mul(b1, b2) == b
             assert L.le(a1, b1) and L.le(a2, b2)
+
+
+def _chain_document(n, mult):
+    leq = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
+    names = ["0", *(f"c{i}" for i in range(1, n - 1)), "1"]
+    return {"elements": names, "leq": leq, "mult": mult}
+
+
+def _valuation_chain(n):
+    # m^i * m^j = m^(i+j), or 0 past the end: sharp.  Id i is
+    # m^(n-1-i), so the product of ids i and j is id i + j - (n - 1).
+    mult = [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
+    return parse_lattice(_chain_document(n, mult))
+
+
+def _nil_chain(n):
+    # interior products all 0: not sharp once n >= 4
+    top = n - 1
+    mult = [[j if i == top else i if j == top else 0 for j in range(n)]
+            for i in range(n)]
+    return parse_lattice(_chain_document(n, mult))
+
+
+def _product(A, B):
+    pairs = [(a, b) for a in A.elements() for b in B.elements()]
+    return parse_lattice({
+        "elements": [f"{A.names[a]},{B.names[b]}" for a, b in pairs],
+        "leq": [[int(A.le(a, c) and B.le(b, d)) for c, d in pairs]
+                for a, b in pairs],
+        "mult": [[pairs.index((A.mul(a, c), B.mul(b, d))) for c, d in pairs]
+                 for a, b in pairs],
+    })
+
+
+def _split_structures():
+    # 0 < p, q < c < 1: p v q = c is neither p, q nor the top
+    rank = [0, 1, 1, 2, 3]
+    leq = [[i == j or rank[i] < rank[j] for j in range(5)] for i in range(5)]
+    poset = FinitePoset(["0", "p", "q", "c", "1"], leq)
+    return list(enumeration.enumerate_structures(poset))
+
+
+def test_table_definition_route_matches_full_scan(census_structures):
+    # the bitmask route and the full factorization scan decide the
+    # definition independently; they must agree everywhere
+    chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
+    larger = [
+        _valuation_chain(8),
+        _valuation_chain(16),
+        _nil_chain(10),
+        _product(_valuation_chain(4), _valuation_chain(3)),
+        _product(gallery.nonsharp5(), gallery.chain3_nil()),
+    ]
+    groups = [*census_structures.values(), chain7, _split_structures(), larger]
+    sharp = not_sharp = 0
+    for structures in groups:
+        for L in structures:
+            by_table = predicates._sharp_by_definition(L)
+            assert by_table == predicates._definition_check(L)[0]
+            sharp += by_table
+            not_sharp += not by_table
+    assert sharp > 0 and not_sharp > 0
+    assert [predicates._sharp_by_definition(L) for L in larger] == [
+        True, True, False, True, False
+    ]
+
+
+def test_factorization_witnesses_are_built_on_request(
+    monkeypatch, capsys, fixtures_dir
+):
+    argv = ["report", str(fixtures_dir / "sharp_chain5_01.json")]
+    expected_census = enumeration.census(enumeration.chain_poset(6)).to_dict()
+    assert cli.main(argv) == 0
+    expected_report = capsys.readouterr().out
+
+    def no_scan(L):
+        raise AssertionError("factorization witnesses were built")
+
+    full_scan = predicates._definition_check
+    monkeypatch.setattr(predicates, "_definition_check", no_scan)
+    assert enumeration.census(enumeration.chain_poset(6)).to_dict() == expected_census
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected_report
+
+    calls = []
+
+    def counted_scan(L):
+        calls.append(L)
+        return full_scan(L)
+
+    monkeypatch.setattr(predicates, "_definition_check", counted_scan)
+    L = _valuation_chain(8)
+    witnesses = full_scan(L)[1]
+    report = sharpness_report(L)
+    assert calls == []
+    assert report.factorization_witnesses == witnesses
+    assert report.to_dict(include_witnesses=True)["factorization_witnesses"] == [
+        [list(k), list(v)] for k, v in sorted(witnesses.items())
+    ]
+    assert calls == [L]  # built once, then kept
+    assert report == sharpness_report(L)
+    assert hash(report) == hash(sharpness_report(L))
 
 
 def test_four_way_agreement_on_censuses(census_structures):
@@ -335,15 +438,9 @@ def test_audit_verified_nonvacuously_on_sharp_locals(census_structures):
 
 
 def test_local_join_representation_on_sharp_valuation_chain32():
-    # m^i * m^j = m^(i+j), or 0 past the end: a sharp local chain with
-    # 32 join-principal elements, far past any subset search.  Id i is
-    # m^(n-1-i), so the product of ids i and j is id i + j - (n - 1).
-    n = 32
-    names = ["0", *(f"m{e}" for e in range(n - 2, 0, -1)), "1"]
-    mult = [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
-    leq = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
-    L = parse_lattice({"elements": names, "leq": leq, "mult": mult})
-    record = theorem_audit(L).record("local_join_representation")
+    # a sharp local chain with 32 join-principal elements, far past any
+    # subset search
+    record = theorem_audit(_valuation_chain(32)).record("local_join_representation")
     assert record.status == "verified" and not record.vacuous
 
 
