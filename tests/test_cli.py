@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sharplat import gallery
 from sharplat.cli import main
 
 
@@ -120,6 +121,56 @@ def test_report_defaults_to_all_sections(capsys, fixtures_dir):
     code, out = run_json(capsys, "report", str(fixtures_dir / "chain3_nil.json"))
     assert code == 0
     assert {"profile", "element_profiles", "sharpness", "audit"} <= set(out)
+
+
+def _valuation_document(n):
+    # id i is m^(n-1-i): ids i and j multiply to id i + j - (n - 1), or 0
+    return {
+        "elements": ["0", *(f"c{i}" for i in range(1, n - 1)), "1"],
+        "leq": [[int(i <= j) for j in range(n)] for i in range(n)],
+        "mult": [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)],
+    }
+
+
+def _product_document(A, B):
+    pairs = [(a, b) for a in range(len(A["elements"])) for b in range(len(B["elements"]))]
+    return {
+        "elements": [f"{A['elements'][a]},{B['elements'][b]}" for a, b in pairs],
+        "leq": [[int(A["leq"][a][c] and B["leq"][b][d]) for c, d in pairs]
+                for a, b in pairs],
+        "mult": [[pairs.index((A["mult"][a][c], B["mult"][b][d])) for c, d in pairs]
+                 for a, b in pairs],
+    }
+
+
+def report_golden_paths(fixtures_dir, directory):
+    """Every gallery fixture, plus two built lattices written to
+    ``directory``: the sharp local valuation 16-chain and the non-local
+    product of two valuation 5-chains."""
+    paths = {name: fixtures_dir / f"{name}.json" for name in gallery.gallery_documents()}
+    five = _valuation_document(5)
+    built = {
+        "valuation_chain16": _valuation_document(16),
+        "valuation_product5x5": _product_document(five, five),
+    }
+    for name, doc in built.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    return paths
+
+
+def test_report_matches_golden_file(capsys, tmp_path, fixtures_dir):
+    # full report (all sections) byte for byte: profiles, sharpness,
+    # and every audit record with its witness and vacuous flag
+    golden = json.loads(
+        (fixtures_dir / "report_gallery.json").read_text(encoding="utf-8")
+    )
+    paths = report_golden_paths(fixtures_dir, tmp_path)
+    assert sorted(paths) == sorted(golden)
+    for name, path in paths.items():
+        code, out = run(capsys, "report", str(path))
+        assert code == 0, name
+        assert out == golden[name], name
 
 
 # -- enumerate ----------------------------------------------------------
