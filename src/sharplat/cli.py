@@ -170,17 +170,19 @@ def _write_representatives(directory: str, docs) -> list[str]:
     return names
 
 
+_DEFAULT_TRIALS = {"zminus": 100, "r1": 1000, "nideal": 200}
+
+
 def cmd_exemplars(args) -> int:
+    trials = _DEFAULT_TRIALS[args.model] if args.trials is None else args.trials
     if args.model == "zminus":
-        report = exemplars.zminus_selftest(max_exponent=args.trials or 100)
+        report = exemplars.zminus_selftest(max_exponent=trials)
         ok = report["failures"] == 0
     elif args.model == "r1":
-        report = exemplars.r1_selftest(trials=args.trials or 1000, seed=args.seed)
+        report = exemplars.r1_selftest(trials=trials, seed=args.seed)
         ok = report["failures"] == 0
     else:
-        report = exemplars.nideal_selftest(
-            trials=args.trials or 200, seed=args.seed
-        )
+        report = exemplars.nideal_selftest(trials=trials, seed=args.seed)
         ok = report["expected_outcome_confirmed"]
     _emit(report, args.pretty)
     return EXIT_OK if ok else EXIT_FALSIFIED
@@ -193,6 +195,13 @@ def cmd_gallery(args) -> int:
     else:
         _emit({"gallery": gallery.gallery_documents()}, args.pretty)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exemplars", help="run exemplar self-tests", allow_abbrev=False)
     p.add_argument("--model", choices=["zminus", "r1", "nideal"], required=True)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_exemplars)

@@ -49,13 +49,10 @@ def _require_prime(L: FiniteMultLattice, p: ElementId) -> None:
 
 
 def _localize_element(L: FiniteMultLattice, p: ElementId, x: ElementId) -> ElementId:
-    out = 0
-    for a in L.elements():
-        if any(
-            not L.le(s, p) and L.le(L.mul(a, s), x) for s in L.elements()
-        ):
-            out = L.join(out, a)
-    return out
+    # a*s <= x iff a <= (x:s), so x_p is the join of (x:s) over s not
+    # below p; the top is such an s, since p is proper
+    rx, leq = L.residuals[x], L.leq
+    return L.join_of(rx[s] for s in L.elements() if not leq[s][p])
 
 
 def localize_element(

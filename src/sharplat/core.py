@@ -430,7 +430,7 @@ def _require(condition: bool, message: str) -> None:
 def _load(document: dict | str, keys: tuple[str, ...]) -> dict:
     """Decode a lattice document and check its shape: an object holding
     ``keys`` (``"elements"`` first, then n x n matrices), non-empty
-    string names, and a 0/1 ``leq``."""
+    string names, and a ``leq`` of integer or boolean 0/1 entries."""
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -452,7 +452,11 @@ def _load(document: dict | str, keys: tuple[str, ...]) -> dict:
             f'"{key}" must be a {n}x{n} matrix',
         )
     _require(
-        all(v in (0, 1, True, False) for row in document["leq"] for v in row),
+        all(
+            type(v) in (int, bool) and v in (0, 1)
+            for row in document["leq"]
+            for v in row
+        ),
         '"leq" entries must be 0/1',
     )
     return document
@@ -477,7 +481,7 @@ def parse_lattice(document: dict | str) -> FiniteMultLattice:
     n = len(document["elements"])
     mult = document["mult"]
     _require(
-        all(isinstance(v, int) and 0 <= v < n for row in mult for v in row),
+        all(type(v) is int and 0 <= v < n for row in mult for v in row),
         '"mult" entries must be element indices',
     )
     poset, order = FinitePoset.from_raw(document["elements"], document["leq"])

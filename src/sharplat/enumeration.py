@@ -263,7 +263,7 @@ def census(
             sharp += 1
         if predicates.prime_witness(L, 0) is None:
             domains += 1
-        if len(predicates.principal_elements(L)) == L.size:
+        if all(predicates._is_principal(L, x) for x in L.elements()):
             all_principal += 1
         if audit_each:
             _audit(L)

@@ -9,12 +9,20 @@ sets instead, and its factorization witnesses come from a full scan
 run only when they are read.  Every negative answer carries the least
 witness in canonical order (lexicographic for tuples), so reports are
 reproducible.
+
+``_analyse`` scans the carrier once for the maximal, prime,
+join-principal and principal elements and builds the lattice profile
+from them; :func:`lattice_profile` and :func:`theorem_audit` both read
+it.  Each audit claim goes through ``_claim``, which turns the
+structural hypotheses, the property antecedent and a witness search
+into one ``ClaimRecord``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import ElementId, FiniteMultLattice
 from .errors import ClaimFalsified, InternalEquivalenceViolation
@@ -169,13 +177,15 @@ def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
     )
 
 
-def principal_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
-    return tuple(
-        x
-        for x in L.elements()
-        if _meet_principal_witness(L, x) is None
+def _is_principal(L, x) -> bool:
+    return (
+        _meet_principal_witness(L, x) is None
         and _join_principal_witness(L, x) is None
     )
+
+
+def principal_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
+    return tuple(x for x in L.elements() if _is_principal(L, x))
 
 
 def join_principal_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
@@ -229,24 +239,30 @@ class LatticeProfile:
         }
 
 
-def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
-    """Lattice-class flags.  Finiteness notes: every element is compact,
-    so Prufer (compacts principal) coincides with Dedekind (everything
-    principal) and the finite-character half of h-locality is automatic;
-    the h-local flag tests only that each nonzero prime sits below a
-    unique maximal element."""
-    maximals = maximal_elements(L)
-    primes = prime_elements(L)
-    principals = set(principal_elements(L))
+class _Analysis(NamedTuple):
+    profile: LatticeProfile
+    primes: tuple[ElementId, ...]
+    join_principals: tuple[ElementId, ...]
+    principals: tuple[ElementId, ...]
+    pseudo_dedekind_witness: tuple | None
+
+
+def _analyse(L) -> _Analysis:
+    """One scan each for the maximal, prime, join-principal and (among
+    those) meet-principal elements, and the lattice profile built from
+    them; both :func:`lattice_profile` and :func:`theorem_audit` read
+    it."""
+    ids = range(L.size)
+    maximals = tuple(x for x in ids if _maximal_witness(L, x) is None)
+    primes = tuple(p for p in ids if prime_witness(L, p) is None)
+    jp = tuple(x for x in ids if _join_principal_witness(L, x) is None)
+    principals = tuple(x for x in jp if _meet_principal_witness(L, x) is None)
+    pd_witness = _pseudo_dedekind_witness(L, principals)
     all_principal = len(principals) == L.size
-    pg = all(
-        L.join_of(p for p in principals if L.le(p, x)) == x for x in L.elements()
-    )
+    pg = all(L.join_of(p for p in principals if L.le(p, x)) == x for x in ids)
     nonzero_primes = [p for p in primes if p != 0]
-    h_local = all(
-        sum(1 for m in maximals if L.le(p, m)) == 1 for p in nonzero_primes
-    )
-    return LatticeProfile(
+    h_local = all(sum(L.le(p, m) for m in maximals) == 1 for p in nonzero_primes)
+    profile = LatticeProfile(
         is_local=len(maximals) == 1,
         max_elements=maximals,
         is_domain=0 in primes,
@@ -254,10 +270,20 @@ def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
         is_principally_generated=pg,
         is_prufer=all_principal,
         is_dedekind=all_principal,
-        is_pseudo_dedekind=_pseudo_dedekind_witness(L, principals) is None,
+        is_pseudo_dedekind=pd_witness is None,
         is_h_local=h_local,
         dimension=_dimension(L, nonzero_primes),
     )
+    return _Analysis(profile, primes, jp, principals, pd_witness)
+
+
+def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
+    """Lattice-class flags.  Finiteness notes: every element is compact,
+    so Prufer (compacts principal) coincides with Dedekind (everything
+    principal) and the finite-character half of h-locality is automatic;
+    the h-local flag tests only that each nonzero prime sits below a
+    unique maximal element."""
+    return _analyse(L).profile
 
 
 def _dimension(L, nonzero_primes) -> int:
@@ -275,13 +301,14 @@ def _dimension(L, nonzero_primes) -> int:
 def pseudo_dedekind_witness(L: FiniteMultLattice) -> tuple | None:
     """None when (x:a) is principal for every principal x and every a;
     otherwise the least offending (x, a)."""
-    return _pseudo_dedekind_witness(L, set(principal_elements(L)))
+    return _pseudo_dedekind_witness(L, principal_elements(L))
 
 
-def _pseudo_dedekind_witness(L, principals: set) -> tuple | None:
-    for x in sorted(principals):
+def _pseudo_dedekind_witness(L, principals) -> tuple | None:
+    members = set(principals)
+    for x in principals:  # ascending
         for a in L.elements():
-            if L.residual(x, a) not in principals:
+            if L.residual(x, a) not in members:
                 return (x, a)
     return None
 
@@ -450,7 +477,7 @@ class PrincipalMonoidReport:
 def principal_monoid(L: FiniteMultLattice) -> PrincipalMonoidReport:
     principals = principal_elements(L)
     is_domain = prime_witness(L, 0) is None
-    if not (is_domain and _pseudo_dedekind_witness(L, set(principals)) is None):
+    if not (is_domain and _pseudo_dedekind_witness(L, principals) is None):
         return PrincipalMonoidReport(principals, False, None, None)
     holds, witness = _lcm_law(L, principals)
     return PrincipalMonoidReport(principals, True, holds, witness)
@@ -527,9 +554,16 @@ def _falsified(claim, witness):
     return ClaimRecord(claim, True, "falsified", False, witness)
 
 
-def _outcome(claim, witness, vacuous=False):
-    """Falsified at ``witness`` when there is one, else verified."""
-    return _falsified(claim, witness) if witness else _verified(claim, vacuous)
+def _claim(claim, applicable, antecedent, find):
+    """Not applicable without the structural hypotheses; vacuously
+    verified when the antecedent fails; otherwise falsified at the
+    witness ``find()`` returns, or verified when it returns none."""
+    if not applicable:
+        return _not_applicable(claim)
+    if not antecedent:
+        return _verified(claim, vacuous=True)
+    witness = find()
+    return _falsified(claim, witness) if witness else _verified(claim)
 
 
 def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> TheoremAudit:
@@ -542,173 +576,103 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
     """
     from . import constructions  # deferred: constructions uses the prime check
 
-    profile = lattice_profile(L)
+    profile, primes, jp, principals, pd_witness = _analyse(L)
     sharp = is_sharp(L)
-    principals = set(principal_elements(L))
-    jp = join_principal_elements(L)
     maximals = profile.max_elements
-    records = []
+    ids, top = range(L.size), L.top
 
-    # no element strictly between a maximal and its square (sharp case)
-    witness = None
-    if sharp:
+    def first(witnesses):
+        return next(witnesses, None)
+
+    def least_non_principal():
+        return first((x,) for x in ids if x not in principals)
+
+    def residual_localization():
         for m in maximals:
-            m2 = L.mul(m, m)
-            for x in L.elements():
-                if L.lt(m2, x) and L.lt(x, m):
-                    witness = (m, x)
-                    break
-            if witness:
-                break
-    records.append(_outcome("maximal_square_gap", witness, not sharp or not maximals))
+            loc = constructions.localize(L, m)
+            Lm, proj = loc.lattice, loc.projection
+            for a in ids[1:]:
+                for b in ids[1:]:
+                    if proj[L.residual(a, b)] != Lm.residual(proj[a], proj[b]):
+                        return (a, b, m)
+        return None
 
-    # in a sharp lattice, proper elements with only trivial divisors are prime
-    witness = None
-    if sharp:
-        for p in L.elements():
-            if p == L.top:
-                continue
-            divisors = {d for d in L.elements() if L.divides(d, p) is not None}
-            if divisors <= {p, L.top} and prime_witness(L, p) is not None:
-                witness = (p,)
-                break
-    records.append(_outcome("trivial_divisors_prime", witness, not sharp))
+    def local_join_representation():
+        # a nonempty subset of jp omitting m joins to m iff the elements
+        # of jp strictly below m do
+        below = tuple(x for x in jp if L.lt(x, maximals[0]))
+        return below if below and L.join_of(below) == maximals[0] else None
+
+    records = [
+        # no element strictly between a maximal and its square (sharp case)
+        _claim("maximal_square_gap", True, sharp and maximals, lambda: first(
+            (m, x) for m in maximals for x in ids
+            if L.lt(L.mul(m, m), x) and L.lt(x, m)
+        )),
+        # in a sharp lattice, proper elements with only trivial divisors
+        # are prime
+        _claim("trivial_divisors_prime", True, sharp, lambda: first(
+            (p,) for p in range(top)  # the proper elements
+            if {d for d in ids if L.divides(d, p) is not None} <= {p, top}
+            and prime_witness(L, p) is not None
+        )),
+    ]
 
     # a chain whose consecutive squares dominate their predecessors is sharp
     if not profile.is_totally_ordered or L.size < 4:
         records.append(_not_applicable("chain_square_condition_sharp"))
+    elif not all(L.le(i, L.mul(i + 1, i + 1)) for i in range(1, L.size - 2)):
+        records.append(_verified("chain_square_condition_sharp", vacuous=True))
+    elif sharp:
+        records.append(_verified("chain_square_condition_sharp"))
     else:
-        condition = all(
-            L.le(i, L.mul(i + 1, i + 1)) for i in range(1, L.size - 2)
-        )
-        if not condition:
-            records.append(_verified("chain_square_condition_sharp", vacuous=True))
-        elif sharp:
-            records.append(_verified("chain_square_condition_sharp"))
-        else:
-            records.append(_falsified("chain_square_condition_sharp", None))
+        records.append(_falsified("chain_square_condition_sharp", None))
 
-    # join-principal pairs whose cross-residuals join to x v y are comaximal
-    witness = None
-    if sharp:
-        for x in jp:
-            for y in jp:
-                if L.join(L.residual(x, y), L.residual(y, x)) == L.join(x, y):
-                    if L.join(x, y) != L.top:
-                        witness = (x, y)
-                        break
-            if witness:
-                break
-    records.append(_outcome("join_principal_comaximal", witness, not sharp))
-
-    # in a local sharp lattice, any join-principal representation of the
-    # maximal element contains it
-    if not profile.is_local:
-        records.append(_not_applicable("local_join_representation"))
-    else:
-        # a nonempty subset of jp omitting m joins to m iff the elements
-        # of jp strictly below m do
-        m = maximals[0]
-        below = tuple(x for x in jp if L.lt(x, m))
-        witness = None
-        if sharp and below and L.join_of(below) == m:
-            witness = below
-        records.append(_outcome("local_join_representation", witness, not sharp))
-
-    # localization at any prime preserves sharpness
-    witness = None
-    if sharp:
-        for p in prime_elements(L):
-            if not is_sharp(constructions.localize(L, p).lattice):
-                witness = (p,)
-                break
-    records.append(_outcome("localization_preserves_sharp", witness, not sharp))
+    records += [
+        # join-principal pairs whose cross-residuals join to x v y are
+        # comaximal
+        _claim("join_principal_comaximal", True, sharp, lambda: first(
+            (x, y) for x in jp for y in jp
+            if L.join(L.residual(x, y), L.residual(y, x)) == L.join(x, y) != top
+        )),
+        # in a local sharp lattice, any join-principal representation of
+        # the maximal element contains it
+        _claim("local_join_representation", profile.is_local, sharp,
+               local_join_representation),
+        # localization at any prime preserves sharpness
+        _claim("localization_preserves_sharp", True, sharp, lambda: first(
+            (p,) for p in primes if not is_sharp(constructions.localize(L, p).lattice)
+        )),
+    ]
 
     # principally generated (hence weak Noetherian): sharp iff all principal
     if not profile.is_principally_generated:
         records.append(_not_applicable("sharp_iff_all_principal"))
+    elif sharp == profile.is_dedekind:
+        records.append(_verified("sharp_iff_all_principal"))
     else:
-        all_principal = len(principals) == L.size
-        if sharp == all_principal:
-            records.append(_verified("sharp_iff_all_principal"))
-        elif sharp:
-            bad = min(x for x in L.elements() if x not in principals)
-            records.append(_falsified("sharp_iff_all_principal", (bad,)))
-        else:
-            records.append(
-                _falsified(
-                    "sharp_iff_all_principal",
-                    _residual_identity_counterexample(L),
-                )
-            )
+        records.append(_falsified(
+            "sharp_iff_all_principal",
+            least_non_principal() if sharp else _residual_identity_counterexample(L),
+        ))
 
     # section-3 setting: principally generated domains
     pg_domain = profile.is_domain and profile.is_principally_generated
-
-    if not pg_domain:
-        records.append(_not_applicable("sharp_implies_pseudo_dedekind"))
-    elif not sharp:
-        records.append(_verified("sharp_implies_pseudo_dedekind", vacuous=True))
-    else:
-        w = _pseudo_dedekind_witness(L, principals)
-        records.append(_outcome("sharp_implies_pseudo_dedekind", w))
-
-    if not pg_domain:
-        records.append(_not_applicable("sharp_implies_prufer"))
-    elif not sharp:
-        records.append(_verified("sharp_implies_prufer", vacuous=True))
-    elif len(principals) == L.size:
-        records.append(_verified("sharp_implies_prufer"))
-    else:
-        bad = min(x for x in L.elements() if x not in principals)
-        records.append(_falsified("sharp_implies_prufer", (bad,)))
-
-    # pseudo-Dedekind domains: principal elements form a GCD monoid,
-    # with LCM given by x ^ y == y (x:y)
-    if not pg_domain:
-        records.append(_not_applicable("principal_lcm_law"))
-    elif not profile.is_pseudo_dedekind:
-        records.append(_verified("principal_lcm_law", vacuous=True))
-    else:
-        w = _lcm_law(L, sorted(principals))[1]
-        records.append(_outcome("principal_lcm_law", w))
-
-    # h-local domains: residuals localize, (a:b)_m == (a_m : b_m)
-    if not (pg_domain and profile.is_h_local):
-        records.append(_not_applicable("residual_localization"))
-    else:
-        witness = None
-        for m in maximals:
-            loc = constructions.localize(L, m)
-            Lm, proj = loc.lattice, loc.projection
-            for a in L.elements():
-                if a == 0:
-                    continue
-                for b in L.elements():
-                    if b == 0:
-                        continue
-                    lhs = proj[L.residual(a, b)]
-                    rhs = Lm.residual(proj[a], proj[b])
-                    if lhs != rhs:
-                        witness = (a, b, m)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        records.append(_outcome("residual_localization", witness))
-
-    # nontrivial sharp domains have prime dimension at most one
-    if not (pg_domain and L.size > 2):
-        records.append(_not_applicable("sharp_dimension_at_most_one"))
-    elif not sharp:
-        records.append(_verified("sharp_dimension_at_most_one", vacuous=True))
-    elif profile.dimension <= 1:
-        records.append(_verified("sharp_dimension_at_most_one"))
-    else:
-        records.append(
-            _falsified("sharp_dimension_at_most_one", (profile.dimension,))
-        )
+    records += [
+        _claim("sharp_implies_pseudo_dedekind", pg_domain, sharp,
+               lambda: pd_witness),
+        _claim("sharp_implies_prufer", pg_domain, sharp, least_non_principal),
+        # pseudo-Dedekind domains: principal elements form a GCD monoid,
+        # with LCM given by x ^ y == y (x:y)
+        _claim("principal_lcm_law", pg_domain, profile.is_pseudo_dedekind,
+               lambda: _lcm_law(L, principals)[1]),
+        # h-local domains: residuals localize, (a:b)_m == (a_m : b_m)
+        _claim("residual_localization", pg_domain and profile.is_h_local, True,
+               residual_localization),
+        # nontrivial sharp domains have prime dimension at most one
+        _claim("sharp_dimension_at_most_one", pg_domain and L.size > 2, sharp,
+               lambda: (profile.dimension,) if profile.dimension > 1 else None),
+    ]
 
     audit = TheoremAudit(tuple(records))
     if raise_on_falsified and audit.falsified:

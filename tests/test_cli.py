@@ -298,6 +298,24 @@ def test_exemplars_nideal_prints_witness(capsys):
     assert out["witness"] == 4
 
 
+@pytest.mark.parametrize("model", ["zminus", "r1", "nideal"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_exemplars_rejects_trials_below_one(capsys, model, trials):
+    with pytest.raises(SystemExit) as err:
+        main(["exemplars", "--model", model, "--trials", trials])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_exemplars_runs_a_single_trial(capsys):
+    code, out = run_json(capsys, "exemplars", "--model", "r1", "--trials", "1")
+    assert code == 0
+    assert out["trials"] == 1 and sum(out["kind_pairs"].values()) == 1
+    code, out = run_json(capsys, "exemplars", "--model", "zminus", "--trials", "1")
+    assert code == 0
+    assert out["trials"] == 9  # exponents 0 and 1 plus the bottom: 3 x 3 pairs
+
+
 def test_exemplars_deterministic(capsys):
     _, first = run(capsys, "exemplars", "--model", "r1", "--seed", "9")
     _, second = run(capsys, "exemplars", "--model", "r1", "--seed", "9")

@@ -54,6 +54,27 @@ def test_elements_separated_by_maximal_localizations(census_structures):
                 assert same == (x == y)
 
 
+def _localize_element_by_pairs(L, p, x):
+    # the definition, by scanning every pair (a, s)
+    out = 0
+    for a in L.elements():
+        if any(not L.le(s, p) and L.le(L.mul(a, s), x) for s in L.elements()):
+            out = L.join(out, a)
+    return out
+
+
+def test_localize_element_matches_pair_scan(census_structures):
+    checked = 0
+    for structures in census_structures.values():
+        for L in structures:
+            for p in predicates.prime_elements(L):
+                for x in L.elements():
+                    expected = _localize_element_by_pairs(L, p, x)
+                    assert localize_element(L, p, x) == expected
+                    checked += 1
+    assert checked > 1000
+
+
 # -- localize -----------------------------------------------------------
 
 

@@ -100,6 +100,8 @@ def _without(key):
         ({**_TWO, "elements": ["0", 1]}, "element names must be strings"),
         ({**_TWO, "leq": [[1, 1]]}, '"leq" must be a 2x2 matrix'),
         ({**_TWO, "leq": [[1, 2], [0, 1]]}, '"leq" entries must be 0/1'),
+        ({**_TWO, "leq": [[1.0, 1], [0, 1]]}, '"leq" entries must be 0/1'),
+        ({**_TWO, "leq": [[1, 1], [0.0, 1]]}, '"leq" entries must be 0/1'),
     ],
 )
 def test_schema_diagnostics_are_exact(parse, doc, message):
@@ -115,6 +117,8 @@ def test_schema_diagnostics_are_exact(parse, doc, message):
         (_without("mult"), 'missing "mult"'),
         ({**_TWO, "mult": [[0, 0]]}, '"mult" must be a 2x2 matrix'),
         ({**_TWO, "mult": [[0, 9], [0, 1]]}, '"mult" entries must be element indices'),
+        ({**_TWO, "mult": [[0, 0], [0, True]]}, '"mult" entries must be element indices'),
+        ({**_TWO, "mult": [[False, 0], [0, 1]]}, '"mult" entries must be element indices'),
     ],
 )
 def test_mult_diagnostics_are_exact(doc, message):
