@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .core import ElementId, FiniteMultLattice
 from .errors import ClaimFalsified, InternalEquivalenceViolation
@@ -239,19 +238,12 @@ class LatticeProfile:
         }
 
 
-class _Analysis(NamedTuple):
-    profile: LatticeProfile
-    primes: tuple[ElementId, ...]
-    join_principals: tuple[ElementId, ...]
-    principals: tuple[ElementId, ...]
-    pseudo_dedekind_witness: tuple | None
-
-
-def _analyse(L) -> _Analysis:
+def _analyse(L) -> tuple:
     """One scan each for the maximal, prime, join-principal and (among
     those) meet-principal elements, and the lattice profile built from
     them; both :func:`lattice_profile` and :func:`theorem_audit` read
-    it."""
+    it.  Returns (profile, primes, join-principals, principals,
+    pseudo-Dedekind witness)."""
     ids = range(L.size)
     maximals = tuple(x for x in ids if _maximal_witness(L, x) is None)
     primes = tuple(p for p in ids if prime_witness(L, p) is None)
@@ -274,7 +266,7 @@ def _analyse(L) -> _Analysis:
         is_h_local=h_local,
         dimension=_dimension(L, nonzero_primes),
     )
-    return _Analysis(profile, primes, jp, principals, pd_witness)
+    return profile, primes, jp, principals, pd_witness
 
 
 def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
@@ -283,7 +275,7 @@ def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
     principal) and the finite-character half of h-locality is automatic;
     the h-local flag tests only that each nonzero prime sits below a
     unique maximal element."""
-    return _analyse(L).profile
+    return _analyse(L)[0]
 
 
 def _dimension(L, nonzero_primes) -> int:

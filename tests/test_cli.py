@@ -143,7 +143,7 @@ def _product_document(A, B):
     }
 
 
-def report_golden_paths(fixtures_dir, directory):
+def _report_golden_paths(fixtures_dir, directory):
     """Every gallery fixture, plus two built lattices written to
     ``directory``: the sharp local valuation 16-chain and the non-local
     product of two valuation 5-chains."""
@@ -165,7 +165,7 @@ def test_report_matches_golden_file(capsys, tmp_path, fixtures_dir):
     golden = json.loads(
         (fixtures_dir / "report_gallery.json").read_text(encoding="utf-8")
     )
-    paths = report_golden_paths(fixtures_dir, tmp_path)
+    paths = _report_golden_paths(fixtures_dir, tmp_path)
     assert sorted(paths) == sorted(golden)
     for name, path in paths.items():
         code, out = run(capsys, "report", str(path))
