@@ -21,6 +21,7 @@ loader, so both report the same schema diagnostics.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -266,7 +267,9 @@ class FiniteMultLattice(_Order):
     ``a*0 = 0``), associativity, binary distributivity over joins, and
     the derived bound ``xy <= x meet y`` as an internal cross-check.
     In a finite lattice binary distributivity plus the bottom law is
-    equivalent to distributivity over arbitrary joins.
+    equivalent to distributivity over arbitrary joins.  Validity is
+    decided by comparing whole rows; only a table that fails there is
+    scanned triple by triple, to name the least witness.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -279,10 +282,10 @@ class FiniteMultLattice(_Order):
 
     def __init__(self, poset: FinitePoset, mult, provenance: dict | None = None):
         n = poset.size
-        mult = tuple(tuple(int(v) for v in row) for row in mult)
+        mult = tuple(tuple(map(int, row)) for row in mult)
         if len(mult) != n or any(len(row) != n for row in mult):
             raise BadSchema(f"mult must be {n}x{n}")
-        if any(v < 0 or v >= n for row in mult for v in row):
+        if any(min(row) < 0 or max(row) >= n for row in mult):
             raise BadSchema("mult entries out of range")
         self.poset = poset
         self.size = n
@@ -296,6 +299,27 @@ class FiniteMultLattice(_Order):
         self.residuals = self._residual_table()
 
     def _validate(self) -> None:
+        """Decide the axioms with whole-row comparisons: take[y](row_x)
+        is the row z -> x(yz) and join_take[y](row_x) the row
+        z -> x(y v z).  A table that fails them goes to the triple scan,
+        which raises on the least witness."""
+        mult, joins, leq, meets = self.mult, self.joins, self.leq, self.meets
+        n = self.size
+        # n > 1: itemgetter of a single index returns a scalar, not a row
+        if n > 1 and mult == tuple(zip(*mult)) and mult[-1] == tuple(range(n)):
+            take = [itemgetter(*row) for row in mult]
+            join_take = [itemgetter(*row) for row in joins]
+            if not any(row[0] for row in mult) and all(
+                mult[xy] == take[y](row_x)
+                and join_take[y](row_x) == take[x](joins[xy])
+                and leq[xy][meets[x][y]]
+                for x, row_x in enumerate(mult)
+                for y, xy in enumerate(row_x)
+            ):
+                return
+        self._scan_triples()
+
+    def _scan_triples(self) -> None:
         n = self.size
         mult = self.mult
         joins = self.joins
@@ -340,19 +364,18 @@ class FiniteMultLattice(_Order):
                     )
 
     def _residual_table(self):
-        n = self.size
-        leq = self.leq
-        joins = self.joins
-        mult = self.mult
+        """(y : x) for all y, x.  On a valid table {a : ax <= y} holds 0
+        and is closed under joins, so its join is its member with the
+        largest id, where the scan down from the top stops."""
+        top = self.size - 1
         rows = []
-        for y in range(n):
+        for below_y in zip(*self.leq):
             row = []
-            for x in range(n):
-                r = 0
-                for a in range(n):
-                    if leq[mult[a][x]][y]:
-                        r = joins[r][a]
-                row.append(r)
+            for row_x in self.mult:
+                a = top
+                while not below_y[row_x[a]]:
+                    a -= 1
+                row.append(a)
             rows.append(tuple(row))
         return tuple(rows)
 

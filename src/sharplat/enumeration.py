@@ -5,9 +5,12 @@ free cells (unordered pairs of interior elements, most-constrained
 first), bounds each candidate by xy <= x meet y, and checks each
 assignment incrementally: only the associativity and binary
 distributivity triples that read the new cell are examined, since every
-other determined triple was checked when its last cell was set.  Every
-leaf is re-validated from scratch by the core validator, so correctness
-never depends on the propagation being complete.
+other determined triple was checked when its last cell was set.  Two
+indexes find those triples without scanning the table: the cells that
+hold each value, kept exact on assign and unassign, and the pairs with
+each join, a poset constant.  Every leaf is re-validated from scratch
+by the core validator, so correctness never depends on the propagation
+being complete.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -75,7 +78,7 @@ def _free_cells(poset: FinitePoset) -> list[tuple[int, int]]:
     return cells
 
 
-def _consistent(table, joins, n, i, j) -> bool:
+def _consistent(table, joins, holders, pairs_by_join, n, i, j) -> bool:
     """Associativity and binary distributivity on the determined triples
     that read the newly assigned cell (i, j) = (j, i).
 
@@ -83,6 +86,12 @@ def _consistent(table, joins, n, i, j) -> bool:
     set.  The table is symmetric, so the associativity triple (x, y, z)
     reads the same cells as (z, y, x): the new cell needs checking only
     in the (x, y) and (xy, z) positions.
+
+    ``holders[a]`` holds every cell (x, y) with xy = a, forced ones
+    included, so it reaches every triple that reads the new cell as
+    (xy)b.  ``pairs_by_join[b]`` holds the pairs x < y with x v y = b:
+    a(x v y) = ax v ay is symmetric in x and y and trivial for x = y,
+    so these are all the pairs whose law reads the new cell as a(x v y).
     """
     for a, b in {(i, j), (j, i)}:
         row_a, row_b = table[a], table[b]
@@ -99,21 +108,18 @@ def _consistent(table, joins, n, i, j) -> bool:
             az, abz = row_a[z], row_a[joins[b][z]]
             if az is not None and abz is not None and abz != joins[ab][az]:
                 return False
-        for x in range(n):
-            row_x, joins_x = table[x], joins[x]
-            for y in range(n):
-                # (xy)b = x(yb) where xy = a
-                if row_x[y] == a:
-                    yb = table[y][b]
-                    if yb is not None:
-                        u = row_x[yb]
-                        if u is not None and u != ab:
-                            return False
-                # a(x v y) = ax v ay where x v y = b
-                if joins_x[y] == b:
-                    ax, ay = row_a[x], row_a[y]
-                    if ax is not None and ay is not None and joins[ax][ay] != ab:
-                        return False
+        # (xy)b = x(yb) where xy = a
+        for x, y in holders[a]:
+            yb = table[y][b]
+            if yb is not None:
+                u = table[x][yb]
+                if u is not None and u != ab:
+                    return False
+        # a(x v y) = ax v ay where x v y = b
+        for x, y in pairs_by_join[b]:
+            ax, ay = row_a[x], row_a[y]
+            if ax is not None and ay is not None and joins[ax][ay] != ab:
+                return False
     return True
 
 
@@ -127,6 +133,15 @@ def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
     for x in range(n):
         table[top][x] = table[x][top] = x
         table[0][x] = table[x][0] = 0
+    holders = [
+        {(x, y) for x in range(n) for y in range(n) if table[x][y] == v}
+        for v in range(n)
+    ]
+    below = [[v for v in range(n) if leq[v][b]] for b in range(n)]
+    pairs_by_join = [
+        [(x, y) for x in range(n) for y in range(x + 1, n) if joins[x][y] == b]
+        for b in range(n)
+    ]
     found: list[FiniteMultLattice] = []
 
     def leaf() -> None:
@@ -142,14 +157,14 @@ def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
             leaf()
             return
         i, j = cells[k]
-        bound = meets[i][j]
-        for v in range(n):
-            if not leq[v][bound]:
-                continue
+        cell = {(i, j), (j, i)}
+        for v in below[meets[i][j]]:
             table[i][j] = table[j][i] = v
-            if _consistent(table, joins, n, i, j):
+            holders[v] |= cell
+            if _consistent(table, joins, holders, pairs_by_join, n, i, j):
                 backtrack(k + 1)
-            table[i][j] = table[j][i] = None
+            holders[v] -= cell
+        table[i][j] = table[j][i] = None
 
     backtrack(0)
     return found

@@ -3,9 +3,25 @@ from pathlib import Path
 import pytest
 
 from sharplat import enumeration, gallery
+from sharplat.core import FinitePoset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+
+def ranked_poset(names, rank) -> FinitePoset:
+    """The order x < y iff rank[x] < rank[y] on ``names``."""
+    n = len(names)
+    leq = [[i == j or rank[i] < rank[j] for j in range(n)] for i in range(n)]
+    return FinitePoset(names, leq)
+
+
+# 0 < p, q < c < 1: p v q = c is neither p, q nor the top
+SPLIT5 = ranked_poset(["0", "p", "q", "c", "1"], [0, 1, 1, 2, 3])
+# 0 < p, q < c1 < c2 < c3 < c4 < 1, the benchmark's non-chain census poset
+POSET_P = ranked_poset(
+    ["0", "p", "q", "c1", "c2", "c3", "c4", "1"], [0, 1, 1, 2, 3, 4, 5, 6]
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,8 +57,9 @@ def fixtures_dir():
 @pytest.fixture(scope="session")
 def census_structures():
     """All structures on the small benchmark posets, enumerated once
-    per session: chains of size 2..6 plus the 4- and 5-element
-    diamonds."""
+    per session: chains of size 2..6, the 4- and 5-element diamonds
+    (the 5-element one, M3, carries none) and the split 5-element
+    poset."""
     out = {}
     for n in (2, 3, 4, 5, 6):
         out[f"chain{n}"] = list(
@@ -52,4 +69,5 @@ def census_structures():
         out[f"diamond{w}"] = list(
             enumeration.enumerate_structures(enumeration.diamond_poset(w))
         )
+    out["split5"] = list(enumeration.enumerate_structures(SPLIT5))
     return out

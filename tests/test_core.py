@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import POSET_P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from sharplat import enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.errors import (
     BadSchema,
+    InternalValidationFailure,
     NoIdentity,
     NotALattice,
     NotAPartialOrder,
@@ -227,6 +229,103 @@ def test_empty_join_law_checked():
         FiniteMultLattice(FinitePoset(["0", "m", "1"], CHAIN3_LEQ), mult)
 
 
+def _triple_scan_oracle(poset, mult):
+    """The validator as it was before the row-wise check: every axiom
+    checked triple by triple, raising on the first violation."""
+    n = poset.size
+    joins, meets, leq = poset.joins, poset.meets, poset.leq
+    top = n - 1
+    for x in range(n):
+        for y in range(x + 1, n):
+            if mult[x][y] != mult[y][x]:
+                raise NotCommutative(f"{x}*{y} != {y}*{x}", witness=(x, y))
+    for x in range(n):
+        if mult[top][x] != x:
+            raise NoIdentity(f"top*{x} != {x}", witness=(x,))
+    for x in range(n):
+        if mult[x][0] != 0:
+            raise NotDistributive(
+                f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
+            )
+    for x in range(n):
+        for y in range(n):
+            xy = mult[x][y]
+            for z in range(n):
+                if mult[xy][z] != mult[x][mult[y][z]]:
+                    raise NotAssociative(
+                        f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
+                    )
+    for a in range(n):
+        for b in range(n):
+            for c in range(b + 1, n):
+                if mult[a][joins[b][c]] != joins[mult[a][b]][mult[a][c]]:
+                    raise NotDistributive(
+                        f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}", witness=(a, b, c)
+                    )
+    for x in range(n):
+        for y in range(n):
+            if not leq[mult[x][y]][meets[x][y]]:
+                raise InternalValidationFailure(
+                    f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
+                )
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except SharplatError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def test_row_check_accepts_every_valid_table(monkeypatch, census_structures):
+    # with the triple scan unreachable, a row check that rejected a
+    # valid table would raise here instead of falling back silently
+    chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
+    poset_p = list(enumeration.enumerate_structures(POSET_P))
+    assert (len(chain7), len(poset_p)) == (451, 442)
+
+    def unreachable(self):
+        raise AssertionError("row check rejected a valid table")
+
+    monkeypatch.setattr(FiniteMultLattice, "_scan_triples", unreachable)
+    for structures in [*census_structures.values(), chain7, poset_p]:
+        for L in structures:
+            assert FiniteMultLattice(L.poset, L.mult) == L
+
+
+def test_single_cell_changes_fail_as_the_triple_scan_does(census_structures):
+    # every single-cell change of every small structure, made on both
+    # sides of the diagonal and on one side only: the validator raises
+    # the class, message and witness the triple scan raises, or accepts
+    # when the scan does
+    bases = [
+        *census_structures["chain4"],
+        *census_structures["chain5"],
+        *all_gallery(),
+    ]
+    seen = set()
+    for L in bases:
+        n = L.size
+        for x in range(n):
+            for y in range(x, n):
+                for v in range(n):
+                    if v == L.mult[x][y]:
+                        continue
+                    for symmetric in (True, False) if x != y else (True,):
+                        mult = [list(row) for row in L.mult]
+                        mult[x][y] = v
+                        if symmetric:
+                            mult[y][x] = v
+                        mult = tuple(tuple(row) for row in mult)
+                        expected = _outcome(_triple_scan_oracle, L.poset, mult)
+                        assert _outcome(FiniteMultLattice, L.poset, mult) == expected
+                        seen.add(expected and expected[0])
+    assert seen == {
+        None, NotCommutative, NoIdentity, NotAssociative, NotDistributive
+    }
+
+
 # -- joins, meets, residuals, divisibility ----------------------------
 
 
@@ -288,6 +387,21 @@ def test_residual_absorbs_join_with_numerator():
         for y in L.elements():
             for x in L.elements():
                 assert L.residual(y, x) == L.residual(y, L.join(x, y))
+
+
+def test_residual_table_matches_join_over_all_elements(census_structures):
+    # the table built by scanning down from the top agrees with the
+    # join of every a with a*x <= y
+    for structures in [*census_structures.values(), all_gallery()]:
+        for L in structures:
+            expected = tuple(
+                tuple(
+                    L.join_of(a for a in L.elements() if L.le(L.mul(a, x), y))
+                    for x in L.elements()
+                )
+                for y in L.elements()
+            )
+            assert L.residuals == expected
 
 
 def test_product_below_meet_and_monotone():

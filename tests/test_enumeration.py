@@ -3,9 +3,10 @@
 from itertools import product
 
 import pytest
+from conftest import POSET_P, SPLIT5
 
 from sharplat import enumeration, predicates
-from sharplat.core import FiniteMultLattice, FinitePoset
+from sharplat.core import FiniteMultLattice
 from sharplat.enumeration import (
     brute_force_structures,
     census,
@@ -93,17 +94,16 @@ def test_diamond3_admits_no_structure(census_structures):
     assert census_structures["diamond3"] == []
 
 
-def test_chain5_count_against_interior_cell_sweep(census_structures):
-    """Second oracle for the 22: sweep all value assignments of the six
-    interior products (identity and bottom rows are forced by the
-    axioms) and filter with the validator."""
-    poset = chain_poset(5)
-    cells = [(i, j) for i in range(1, 4) for j in range(i, 4)]
+def _interior_sweep(poset):
+    """Every value assignment of the interior products (identity and
+    bottom rows are forced by the axioms), filtered by the validator."""
+    n = poset.size
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
     valid = []
-    for values in product(range(5), repeat=len(cells)):
-        table = [[0] * 5 for _ in range(5)]
-        for x in range(5):
-            table[4][x] = table[x][4] = x
+    for values in product(range(n), repeat=len(cells)):
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            table[n - 1][x] = table[x][n - 1] = x
         for (i, j), v in zip(cells, values):
             table[i][j] = table[j][i] = v
         try:
@@ -111,9 +111,22 @@ def test_chain5_count_against_interior_cell_sweep(census_structures):
         except SharplatError:
             continue
     valid.sort(key=FiniteMultLattice.flat_mult)
-    assert [L.mult for L in valid] == [
+    return [L.mult for L in valid]
+
+
+def test_chain5_count_against_interior_cell_sweep(census_structures):
+    """Second oracle for the 22."""
+    assert _interior_sweep(chain_poset(5)) == [
         L.mult for L in census_structures["chain5"]
     ]
+
+
+def test_split5_against_interior_cell_sweep(census_structures):
+    # the first poset whose join p v q = c is neither an argument nor
+    # the top
+    structures = [L.mult for L in census_structures["split5"]]
+    assert len(structures) == 4
+    assert _interior_sweep(SPLIT5) == structures
 
 
 def test_stream_is_duplicate_free_and_lex_sorted(census_structures):
@@ -133,21 +146,15 @@ def test_pruning_soundness_with_propagation_disabled(monkeypatch, census_structu
     # with incremental associativity/distributivity checks switched off,
     # leaf validation alone must accept exactly the same tables
     monkeypatch.setattr(enumeration, "_consistent", lambda *args: True)
-    for key in ("chain5", "chain6", "diamond3"):
-        poset = (
-            chain_poset(int(key[-1]))
-            if key.startswith("chain")
-            else diamond_poset(int(key[-1]))
-        )
+    posets = {
+        "chain5": chain_poset(5),
+        "chain6": chain_poset(6),
+        "diamond3": diamond_poset(3),
+        "split5": SPLIT5,
+    }
+    for key, poset in posets.items():
         unpruned = [L.mult for L in enumeration.enumerate_structures(poset)]
         assert unpruned == [L.mult for L in census_structures[key]]
-
-
-def _split_poset():
-    """0 < p, q < c < 1: p v q = c is neither p, q nor the top."""
-    rank = [0, 1, 1, 2, 3]
-    leq = [[i == j or rank[i] < rank[j] for j in range(5)] for i in range(5)]
-    return FinitePoset(["0", "p", "q", "c", "1"], leq)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["walk", "reversed"])
@@ -158,9 +165,10 @@ def _split_poset():
         chain_poset(6),
         diamond_poset(2),
         diamond_poset(3),
-        _split_poset(),
+        SPLIT5,
+        POSET_P,
     ],
-    ids=["chain5", "chain6", "diamond2", "diamond3", "split5"],
+    ids=["chain5", "chain6", "diamond2", "diamond3", "split5", "P"],
 )
 def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse):
     # every triple of a complete table was checked when its last cell
@@ -261,6 +269,15 @@ def test_census_distinct_counts():
     result = census(diamond_poset(2), distinct_up_to_auto=True)
     assert result.total == 1
     assert result.distinct_up_to_automorphism == 1
+
+
+def test_poset_p_census_counts():
+    # the non-chain census the benchmark's census workload checks
+    result = census(POSET_P, distinct_up_to_auto=True)
+    assert (result.total, result.sharp, result.domains, result.all_principal) == (
+        442, 65, 0, 0
+    )
+    assert result.distinct_up_to_automorphism == 268
 
 
 def test_census_to_dict_shape():
