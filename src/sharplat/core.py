@@ -267,9 +267,9 @@ class FiniteMultLattice(_Order):
     ``a*0 = 0``), associativity, binary distributivity over joins, and
     the derived bound ``xy <= x meet y`` as an internal cross-check.
     In a finite lattice binary distributivity plus the bottom law is
-    equivalent to distributivity over arbitrary joins.  Validity is
-    decided by comparing whole rows; only a table that fails there is
-    scanned triple by triple, to name the least witness.
+    equivalent to distributivity over arbitrary joins.  Associativity
+    and distributivity compare whole rows; only the first failing row
+    is searched, to name the least witness a triple scan would name.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -299,27 +299,13 @@ class FiniteMultLattice(_Order):
         self.residuals = self._residual_table()
 
     def _validate(self) -> None:
-        """Decide the axioms with whole-row comparisons: take[y](row_x)
-        is the row z -> x(yz) and join_take[y](row_x) the row
-        z -> x(y v z).  A table that fails them goes to the triple scan,
-        which raises on the least witness."""
-        mult, joins, leq, meets = self.mult, self.joins, self.leq, self.meets
-        n = self.size
-        # n > 1: itemgetter of a single index returns a scalar, not a row
-        if n > 1 and mult == tuple(zip(*mult)) and mult[-1] == tuple(range(n)):
-            take = [itemgetter(*row) for row in mult]
-            join_take = [itemgetter(*row) for row in joins]
-            if not any(row[0] for row in mult) and all(
-                mult[xy] == take[y](row_x)
-                and join_take[y](row_x) == take[x](joins[xy])
-                and leq[xy][meets[x][y]]
-                for x, row_x in enumerate(mult)
-                for y, xy in enumerate(row_x)
-            ):
-                return
-        self._scan_triples()
-
-    def _scan_triples(self) -> None:
+        """Check the axioms in order, raising on the least witness.
+        Associativity and distributivity compare whole rows:
+        take[y](row_x) is the row z -> x(yz) and join_take[y](row_x) the
+        row z -> x(y v z).  Only a failing row is searched for its
+        least z; on the first failing distributivity row (a, b) that z
+        exceeds b, since the law is symmetric in b and z and trivial at
+        z = b, so it is the least triple (a, b, c) with b < c."""
         n = self.size
         mult = self.mult
         joins = self.joins
@@ -339,22 +325,28 @@ class FiniteMultLattice(_Order):
                 raise NotDistributive(
                     f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
                 )
-        for x in range(n):
-            for y in range(n):
-                xy = mult[x][y]
-                for z in range(n):
-                    if mult[xy][z] != mult[x][mult[y][z]]:
-                        raise NotAssociative(
-                            f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
-                        )
-        for a in range(n):
-            for b in range(n):
-                for c in range(b + 1, n):
-                    if mult[a][joins[b][c]] != joins[mult[a][b]][mult[a][c]]:
-                        raise NotDistributive(
-                            f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
-                            witness=(a, b, c),
-                        )
+        if n == 1:
+            # itemgetter of a single index returns a scalar, not a row
+            return
+        take = [itemgetter(*row) for row in mult]
+        for x, row_x in enumerate(mult):
+            for y, xy in enumerate(row_x):
+                if mult[xy] != take[y](row_x):
+                    z = next(z for z in range(n)
+                             if mult[xy][z] != row_x[mult[y][z]])
+                    raise NotAssociative(
+                        f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
+                    )
+        join_take = [itemgetter(*row) for row in joins]
+        for a, row_a in enumerate(mult):
+            for b, ab in enumerate(row_a):
+                if join_take[b](row_a) != take[a](joins[ab]):
+                    c = next(c for c in range(n)
+                             if row_a[joins[b][c]] != joins[ab][row_a[c]])
+                    raise NotDistributive(
+                        f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
+                        witness=(a, b, c),
+                    )
         for x in range(n):
             for y in range(n):
                 if not self.leq[mult[x][y]][meets[x][y]]:

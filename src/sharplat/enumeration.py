@@ -6,11 +6,11 @@ first), bounds each candidate by xy <= x meet y, and checks each
 assignment incrementally: only the associativity and binary
 distributivity triples that read the new cell are examined, since every
 other determined triple was checked when its last cell was set.  Two
-indexes find those triples without scanning the table: the cells that
-hold each value, kept exact on assign and unassign, and the pairs with
-each join, a poset constant.  Every leaf is re-validated from scratch
-by the core validator, so correctness never depends on the propagation
-being complete.
+indexes find those triples without scanning the table: the free cells
+that hold each value, kept exact on assign and unassign, and the pairs
+with each join, a poset constant.  Every leaf is re-validated from
+scratch by the core validator, so correctness never depends on the
+propagation being complete.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -87,11 +87,13 @@ def _consistent(table, joins, holders, pairs_by_join, n, i, j) -> bool:
     reads the same cells as (z, y, x): the new cell needs checking only
     in the (x, y) and (xy, z) positions.
 
-    ``holders[a]`` holds every cell (x, y) with xy = a, forced ones
-    included, so it reaches every triple that reads the new cell as
-    (xy)b.  ``pairs_by_join[b]`` holds the pairs x < y with x v y = b:
-    a(x v y) = ax v ay is symmetric in x and y and trivial for x = y,
-    so these are all the pairs whose law reads the new cell as a(x v y).
+    ``holders[a]`` holds every free cell (x, y) with xy = a.  That
+    reaches every triple that reads the new cell as (xy)b: a is
+    interior, so the only forced cells holding it are (1, a) and
+    (a, 1), whose triples always hold.  ``pairs_by_join[b]`` holds the
+    pairs x < y with x v y = b: a(x v y) = ax v ay is symmetric in x
+    and y and trivial for x = y, so these are all the pairs whose law
+    reads the new cell as a(x v y).
     """
     for a, b in {(i, j), (j, i)}:
         row_a, row_b = table[a], table[b]
@@ -133,10 +135,7 @@ def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
     for x in range(n):
         table[top][x] = table[x][top] = x
         table[0][x] = table[x][0] = 0
-    holders = [
-        {(x, y) for x in range(n) for y in range(n) if table[x][y] == v}
-        for v in range(n)
-    ]
+    holders: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     below = [[v for v in range(n) if leq[v][b]] for b in range(n)]
     pairs_by_join = [
         [(x, y) for x in range(n) for y in range(x + 1, n) if joins[x][y] == b]

@@ -3,7 +3,6 @@
 import json
 
 import pytest
-from conftest import POSET_P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,9 +228,16 @@ def test_empty_join_law_checked():
         FiniteMultLattice(FinitePoset(["0", "m", "1"], CHAIN3_LEQ), mult)
 
 
+def test_one_element_lattice_validates():
+    # bottom = top: the row checks must not read a one-entry row as a scalar
+    L = FiniteMultLattice(FinitePoset(["0"], [[True]]), [[0]])
+    assert L.mult == L.residuals == ((0,),)
+
+
 def _triple_scan_oracle(poset, mult):
-    """The validator as it was before the row-wise check: every axiom
-    checked triple by triple, raising on the first violation."""
+    """The validator as a plain triple scan: every axiom checked triple
+    by triple, in the validator's order, raising on the first
+    violation."""
     n = poset.size
     joins, meets, leq = poset.joins, poset.meets, poset.leq
     top = n - 1
@@ -276,22 +282,6 @@ def _outcome(build, *args):
     except SharplatError as exc:
         return type(exc), str(exc), exc.witness
     return None
-
-
-def test_row_check_accepts_every_valid_table(monkeypatch, census_structures):
-    # with the triple scan unreachable, a row check that rejected a
-    # valid table would raise here instead of falling back silently
-    chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
-    poset_p = list(enumeration.enumerate_structures(POSET_P))
-    assert (len(chain7), len(poset_p)) == (451, 442)
-
-    def unreachable(self):
-        raise AssertionError("row check rejected a valid table")
-
-    monkeypatch.setattr(FiniteMultLattice, "_scan_triples", unreachable)
-    for structures in [*census_structures.values(), chain7, poset_p]:
-        for L in structures:
-            assert FiniteMultLattice(L.poset, L.mult) == L
 
 
 def test_single_cell_changes_fail_as_the_triple_scan_does(census_structures):
