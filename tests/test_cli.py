@@ -316,6 +316,19 @@ def test_exemplars_runs_a_single_trial(capsys):
     assert out["trials"] == 9  # exponents 0 and 1 plus the bottom: 3 x 3 pairs
 
 
+def test_exemplars_match_golden_file(capsys, fixtures_dir):
+    # stdout and exit code byte for byte, at the benchmark's trial counts,
+    # at the defaults and at a single trial for each model
+    golden = json.loads(
+        (fixtures_dir / "exemplars_golden.json").read_text(encoding="utf-8")
+    )
+    assert len(golden) == 13
+    for name, case in golden.items():
+        code, out = run(capsys, "exemplars", *case["argv"])
+        assert code == case["exit_code"], name
+        assert out == case["stdout"], name
+
+
 def test_exemplars_deterministic(capsys):
     _, first = run(capsys, "exemplars", "--model", "r1", "--seed", "9")
     _, second = run(capsys, "exemplars", "--model", "r1", "--seed", "9")
