@@ -238,7 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exemplars", help="run exemplar self-tests", allow_abbrev=False)
     p.add_argument("--model", choices=["zminus", "r1", "nideal"], required=True)
-    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument(
+        "--trials",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help=f"random trials for r1 and nideal (defaults {_DEFAULT_TRIALS['r1']} "
+        f"and {_DEFAULT_TRIALS['nideal']}); for zminus, the largest exponent "
+        f"checked (default {_DEFAULT_TRIALS['zminus']}): every pair of exponents "
+        "0..N and the bottom runs, and the report's \"trials\" is that count, "
+        "(N + 2)^2",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_exemplars)

@@ -6,7 +6,7 @@ Three symbolic families, all immutable and exact:
 
 * ``ZMinusElement``: the ideal chain of a discrete valuation domain,
   written multiplicatively as exponents (0 is the top/identity,
-  infinity is the bottom).
+  ``INFINITE`` marks the bottom).
 * ``R1Element``: the interval family [r, inf] / (r, inf] / {inf} with
   exact rational endpoints r >= 0, ordered by inclusion.  Rational
   endpoints keep the residual arithmetic exact; the family is closed
@@ -24,14 +24,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, inf
+from functools import lru_cache, reduce
+from itertools import compress, product
+from math import gcd
+from operator import and_
 
 from .errors import ZeroDivisor
 
 # -- the discrete valuation chain --------------------------------------
 
-INFINITE = inf
+# the exponent of the bottom: exact and not a number, so it prints as
+# JSON null and is never mistaken for a finite exponent
+INFINITE = None
 
 
 @dataclass(frozen=True)
@@ -39,51 +43,59 @@ class ZMinusElement:
     """The element with the given exponent: 0 is the top and identity,
     larger exponents sit lower, ``INFINITE`` is the bottom."""
 
-    exponent: int | float
+    exponent: int | None
 
     def __post_init__(self):
-        if self.exponent == INFINITE:
-            return
         exponent = self.exponent
+        if exponent is INFINITE:
+            return
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer or INFINITE")
 
     def is_bottom(self) -> bool:
-        return self.exponent == INFINITE
+        return self.exponent is INFINITE
 
 
-Z_TOP = ZMinusElement(0)
-Z_BOTTOM = ZMinusElement(INFINITE)
+@lru_cache(maxsize=4096)
+def _z(exponent: int | None) -> ZMinusElement:
+    """The element with this exponent, shared while it stays cached."""
+    return ZMinusElement(exponent)
+
+
+Z_TOP = _z(0)
+Z_BOTTOM = _z(INFINITE)
 
 
 def z_le(a: ZMinusElement, b: ZMinusElement) -> bool:
     """Order reverses exponents: m^j <= m^k iff j >= k."""
-    return a.exponent >= b.exponent
+    if a.exponent is INFINITE:
+        return True
+    return b.exponent is not INFINITE and a.exponent >= b.exponent
 
 
 def z_mult(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
-    if a.is_bottom() or b.is_bottom():
+    if a.exponent is INFINITE or b.exponent is INFINITE:
         return Z_BOTTOM
-    return ZMinusElement(a.exponent + b.exponent)
+    return _z(a.exponent + b.exponent)
 
 
 def z_join(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
-    return ZMinusElement(min(a.exponent, b.exponent))
+    return a if z_le(b, a) else b
 
 
 def z_meet(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
-    return ZMinusElement(max(a.exponent, b.exponent))
+    return a if z_le(a, b) else b
 
 
 def z_residual(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
     """Largest x with x*b <= a: exponent max(exp(a) - exp(b), 0);
     dividing by the bottom gives the top, and (bottom : finite) is
     the bottom."""
-    if b.is_bottom():
+    if b.exponent is INFINITE:
         return Z_TOP
-    if a.is_bottom():
+    if a.exponent is INFINITE:
         return Z_BOTTOM
-    return ZMinusElement(max(a.exponent - b.exponent, 0))
+    return _z(max(a.exponent - b.exponent, 0))
 
 
 # -- the real-valued interval chain ------------------------------------
@@ -109,7 +121,7 @@ class R1Element:
             return
         if self.kind not in (_CLOSED, _OPEN):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if not isinstance(self.endpoint, Fraction) or self.endpoint < 0:
+        if not isinstance(self.endpoint, Fraction) or self.endpoint.numerator < 0:
             raise ValueError("endpoint must be a nonnegative Fraction")
 
     @classmethod
@@ -138,23 +150,28 @@ R1_TOP = R1Element.closed(0)
 R1_ZERO = R1Element.zero()
 
 
+def _r1_cmp(a: R1Element, b: R1Element) -> int:
+    """An integer with the sign of endpoint(a) - endpoint(b), by cross-
+    multiplication (denominators are positive)."""
+    p, q = a.endpoint, b.endpoint
+    return p.numerator * q.denominator - q.numerator * p.denominator
+
+
 def r1_le(a: R1Element, b: R1Element) -> bool:
     """Set inclusion; the family is totally ordered."""
-    if a.is_zero():
+    if a.kind == _ZERO:
         return True
-    if b.is_zero():
+    if b.kind == _ZERO:
         return False
-    if b.kind == _CLOSED:
-        return a.endpoint >= b.endpoint
-    if a.kind == _OPEN:
-        return a.endpoint >= b.endpoint
-    return a.endpoint > b.endpoint  # closed inside open needs a strict step
+    if b.kind == _CLOSED or a.kind == _OPEN:
+        return _r1_cmp(a, b) >= 0
+    return _r1_cmp(a, b) > 0  # closed inside open needs a strict step
 
 
 def r1_mult(a: R1Element, b: R1Element) -> R1Element:
     """Interval addition: endpoints add, the sum is closed only when
     both factors are closed, and the bottom absorbs."""
-    if a.is_zero() or b.is_zero():
+    if a.kind == _ZERO or b.kind == _ZERO:
         return R1_ZERO
     kind = _CLOSED if (a.kind == _CLOSED and b.kind == _CLOSED) else _OPEN
     return R1Element(kind, a.endpoint + b.endpoint)
@@ -178,16 +195,18 @@ def r1_residual(a: R1Element, b: R1Element) -> R1Element:
     divisor is contained in the dividend (d < 0 in the strict case,
     d <= 0 otherwise) the residual is the whole top.
     """
-    if b.is_zero():
+    if b.kind == _ZERO:
         return R1_TOP
-    if a.is_zero():
+    if a.kind == _ZERO:
         return R1_ZERO
-    d = a.endpoint - b.endpoint
+    d = _r1_cmp(a, b)
     if a.kind == _OPEN and b.kind == _CLOSED:
         if d < 0:
             return R1_TOP
-        return R1Element(_OPEN, d)
-    return R1Element(_CLOSED, max(d, Fraction(0)))
+        return R1Element(_OPEN, a.endpoint - b.endpoint)
+    if d <= 0:
+        return R1_TOP
+    return R1Element(_CLOSED, a.endpoint - b.endpoint)
 
 
 # -- finitely generated monoid ideals ----------------------------------
@@ -285,18 +304,31 @@ def ideal_residual(a: FGIdeal, b: FGIdeal) -> FGIdeal:
     return FGIdeal(frozenset(gens))
 
 
+def _sieve(a: FGIdeal, top: int) -> bytearray:
+    """Byte n is 1 iff n in [1, top] belongs to a (some generator of a
+    divides n), and byte 0 is 0."""
+    in_a = bytearray(top + 1)
+    for g in a.generators:
+        in_a[g::g] = b"\x01" * (top // g)
+    return in_a
+
+
 def residual_members_scan(a: FGIdeal, b: FGIdeal, bound: int) -> list[int]:
     """Brute-force oracle: all x in [1, bound] with x*h in a for every
-    generator h of b.  Membership is exact (plain divisibility), so the
-    bound only limits which x are inspected."""
+    generator h of b.  Membership is exact (plain divisibility, read off
+    a sieve of a up to max(h) * bound), so the bound only limits which x
+    are inspected."""
     if b.is_zero():
         raise ZeroDivisor("residual by the zero ideal")
+    if bound < 1:
+        return []
     hs = sorted(b.generators)
-    return [
-        x
-        for x in range(1, bound + 1)
-        if all(ideal_member(a, x * h) for h in hs)
-    ]
+    in_a = _sieve(a, hs[-1] * bound)
+    # row h holds the membership of h, 2h, ..., bound*h; the rows are
+    # 0/1 bytes, so ANDing them as integers ANDs them byte by byte
+    rows = (int.from_bytes(in_a[h : h * bound + 1 : h], "little") for h in hs)
+    every = reduce(and_, rows).to_bytes(bound, "little")
+    return list(compress(range(1, bound + 1), every))
 
 
 # -- the pseudo-Dedekind-but-not-sharp counterexample -------------------
@@ -347,7 +379,7 @@ def counterexample_report(scan_bound: int = 200) -> dict:
 def zminus_selftest(max_exponent: int = 100) -> dict:
     """Check the sharpness identity a == (a:(a:b)) (a:b) and residual
     soundness for every exponent pair in [0, max_exponent] + bottom."""
-    carrier = [ZMinusElement(k) for k in range(max_exponent + 1)] + [Z_BOTTOM]
+    carrier = [_z(k) for k in range(max_exponent + 1)] + [Z_BOTTOM]
     failures = []
     for a in carrier:
         for b in carrier:
@@ -430,7 +462,7 @@ def nideal_selftest(trials: int = 200, seed: int = 0, scan_bound: int = 300) -> 
             continue
         r = ideal_residual(a, b)
         expected = residual_members_scan(a, b, scan_bound)
-        got = [x for x in range(1, scan_bound + 1) if ideal_member(r, x)]
+        got = list(compress(range(scan_bound + 1), _sieve(r, scan_bound)))
         if expected != got:
             failures.append((sorted(a.generators), sorted(b.generators)))
     report.update(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sharplat import gallery
+from sharplat import exemplars, gallery
 from sharplat.cli import main
 
 
@@ -314,6 +314,24 @@ def test_exemplars_runs_a_single_trial(capsys):
     code, out = run_json(capsys, "exemplars", "--model", "zminus", "--trials", "1")
     assert code == 0
     assert out["trials"] == 9  # exponents 0 and 1 plus the bottom: 3 x 3 pairs
+
+
+def test_exemplars_bottom_witness_is_valid_json(capsys, monkeypatch):
+    # a residual that wrongly returns the bottom for a bottom divisor
+    # makes witnesses that name the bottom's exponent
+    exact = exemplars.z_residual
+
+    def bottom_for_bottom(a, b):
+        return exemplars.Z_BOTTOM if b.is_bottom() else exact(a, b)
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    monkeypatch.setattr(exemplars, "z_residual", bottom_for_bottom)
+    code, out = run(capsys, "exemplars", "--model", "zminus", "--trials", "1")
+    report = json.loads(out, parse_constant=reject)
+    assert code == 1 and report["failures"] > 0
+    assert ["sharp_identity", 0, None] in report["witnesses"]
 
 
 def test_exemplars_match_golden_file(capsys, fixtures_dir):

@@ -1,11 +1,13 @@
 """The exact exemplar models: valuation chains and monoid ideals."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharplat import exemplars
 from sharplat.errors import ZeroDivisor
 from sharplat.exemplars import (
     FGIdeal,
@@ -13,6 +15,8 @@ from sharplat.exemplars import (
     R1Element,
     R1_TOP,
     R1_ZERO,
+    UNIT_IDEAL,
+    ZERO_IDEAL,
     ZMinusElement,
     Z_BOTTOM,
     Z_TOP,
@@ -120,7 +124,20 @@ def test_z_element_validation():
         ZMinusElement(1.5)
     with pytest.raises(ValueError):
         ZMinusElement(True)
+    with pytest.raises(ValueError):
+        ZMinusElement(math.inf)  # the bottom is exact, not a float
     assert ZMinusElement(INFINITE) == Z_BOTTOM
+    assert not isinstance(Z_BOTTOM.exponent, float)
+
+
+def test_z_operations_share_elements_from_a_bounded_cache():
+    assert z_mult(ZMinusElement(2), ZMinusElement(3)) is z_mult(
+        ZMinusElement(1), ZMinusElement(4)
+    )
+    assert z_residual(ZMinusElement(9), ZMinusElement(4)) is z_mult(
+        Z_TOP, ZMinusElement(5)
+    )
+    assert exemplars._z.cache_info().maxsize is not None
 
 
 # -- the real interval chain ---------------------------------------------
@@ -239,6 +256,55 @@ def test_r1_residual_laws(a, b):
     assert r1_le(r1_mult(a, r1_meet(a, b)), r1_mult(a, r1_join(a, b)))
 
 
+def _r1_le_by_fractions(a, b):
+    """The order with Fraction comparisons, as first written."""
+    if a.is_zero():
+        return True
+    if b.is_zero():
+        return False
+    if b.kind == "closed" or a.kind == "open":
+        return a.endpoint >= b.endpoint
+    return a.endpoint > b.endpoint
+
+
+def _r1_residual_by_fractions(a, b):
+    """The residual with a Fraction clamp, as first written."""
+    if b.is_zero():
+        return R1_TOP
+    if a.is_zero():
+        return R1_ZERO
+    d = a.endpoint - b.endpoint
+    if a.kind == "open" and b.kind == "closed":
+        return R1_TOP if d < 0 else R1Element.open(d)
+    return R1Element.closed(max(d, Fraction(0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=_r1_elements,
+    b=_r1_elements,
+    same_endpoint=st.booleans(),
+    flip=st.booleans(),
+)
+def test_r1_integer_comparisons_match_fraction_comparisons(a, b, same_endpoint, flip):
+    if same_endpoint and not a.is_zero() and not b.is_zero():
+        b = R1Element(b.kind, a.endpoint)
+    if flip:
+        a, b = b, a
+    assert r1_le(a, b) == _r1_le_by_fractions(a, b)
+    assert r1_residual(a, b) == _r1_residual_by_fractions(a, b)
+
+
+def test_r1_integer_comparisons_on_equal_endpoints_and_zero():
+    samples = [R1_ZERO, R1_TOP, R1Element.open(0)]
+    for r in (Fraction(1, 3), Fraction(2, 6), Fraction(7, 2)):
+        samples += [R1Element.closed(r), R1Element.open(r)]
+    for a in samples:
+        for b in samples:
+            assert r1_le(a, b) == _r1_le_by_fractions(a, b), (a, b)
+            assert r1_residual(a, b) == _r1_residual_by_fractions(a, b), (a, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=_r1_elements, b=_r1_elements, c=_r1_elements)
 def test_r1_residual_maximality(a, b, c):
@@ -337,6 +403,59 @@ def test_ideal_residual_matches_membership_scan(a, b):
     r = ideal_residual(a, b)
     bound = 400
     assert _members_to(r, bound) == residual_members_scan(a, b, bound)
+
+
+def _residual_members_by_membership(a, b, bound):
+    """The oracle one x at a time: x*h in a for every generator h of b."""
+    return [
+        x
+        for x in range(1, bound + 1)
+        if all(ideal_member(a, x * h) for h in b.generators)
+    ]
+
+
+_ideals_around_bound = st.sets(
+    st.integers(min_value=1, max_value=60), min_size=0, max_size=4
+).map(lambda gens: FGIdeal(frozenset(gens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=_ideals_around_bound,
+    b=_ideals_around_bound.filter(lambda b: not b.is_zero()),
+    bound=st.one_of(st.just(1), st.integers(min_value=1, max_value=40)),
+)
+def test_residual_members_scan_matches_membership_scan(a, b, bound):
+    # generators run past the bound, and bound 1 inspects a single x
+    assert residual_members_scan(a, b, bound) == _residual_members_by_membership(
+        a, b, bound
+    )
+
+
+def test_residual_members_scan_edges():
+    assert residual_members_scan(FGIdeal.of(7), FGIdeal.of(50), 1) == []
+    assert residual_members_scan(FGIdeal.of(50), FGIdeal.of(50), 1) == [1]
+    assert residual_members_scan(ZERO_IDEAL, FGIdeal.of(2), 10) == []
+    assert residual_members_scan(UNIT_IDEAL, FGIdeal.of(3, 5), 4) == [1, 2, 3, 4]
+    with pytest.raises(ZeroDivisor):
+        residual_members_scan(FGIdeal.of(2), ZERO_IDEAL, 10)
+
+
+def test_nideal_oracle_catches_a_dropped_generator(monkeypatch):
+    # a residual missing its largest generator is too small; the sieve
+    # oracle must see it on the random trials
+    exact = exemplars.ideal_residual
+
+    def drop_largest(a, b):
+        gens = exact(a, b).generators
+        if len(gens) >= 2:
+            gens = gens - {max(gens)}
+        return FGIdeal(gens)
+
+    monkeypatch.setattr(exemplars, "ideal_residual", drop_largest)
+    report = nideal_selftest(trials=1000, seed=1)
+    assert report["oracle_failures"] > 0
+    assert report["expected_outcome_confirmed"] is False
 
 
 @settings(max_examples=150, deadline=None)
