@@ -257,7 +257,7 @@ def test_r1_residual_laws(a, b):
 
 
 def _r1_le_by_fractions(a, b):
-    """The order with Fraction comparisons, as first written."""
+    """The reference order, by Fraction comparisons."""
     if a.is_zero():
         return True
     if b.is_zero():
@@ -268,7 +268,7 @@ def _r1_le_by_fractions(a, b):
 
 
 def _r1_residual_by_fractions(a, b):
-    """The residual with a Fraction clamp, as first written."""
+    """The reference residual, with a Fraction clamp."""
     if b.is_zero():
         return R1_TOP
     if a.is_zero():
@@ -280,24 +280,17 @@ def _r1_residual_by_fractions(a, b):
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    a=_r1_elements,
-    b=_r1_elements,
-    same_endpoint=st.booleans(),
-    flip=st.booleans(),
-)
-def test_r1_integer_comparisons_match_fraction_comparisons(a, b, same_endpoint, flip):
+@given(a=_r1_elements, b=_r1_elements, same_endpoint=st.booleans())
+def test_r1_integer_comparisons_match_fraction_comparisons(a, b, same_endpoint):
     if same_endpoint and not a.is_zero() and not b.is_zero():
         b = R1Element(b.kind, a.endpoint)
-    if flip:
-        a, b = b, a
     assert r1_le(a, b) == _r1_le_by_fractions(a, b)
     assert r1_residual(a, b) == _r1_residual_by_fractions(a, b)
 
 
 def test_r1_integer_comparisons_on_equal_endpoints_and_zero():
     samples = [R1_ZERO, R1_TOP, R1Element.open(0)]
-    for r in (Fraction(1, 3), Fraction(2, 6), Fraction(7, 2)):
+    for r in (Fraction(1, 3), Fraction(7, 2)):
         samples += [R1Element.closed(r), R1Element.open(r)]
     for a in samples:
         for b in samples:
