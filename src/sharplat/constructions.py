@@ -73,16 +73,17 @@ def _sublattice(L, image, project, provenance, what):
     and the projection of every element of L as new ids.  ``what``
     names the construction in an InternalValidationFailure."""
     index = {old: new for new, old in enumerate(image)}
+    projection = tuple(index[project(x)] for x in L.elements())
     names = [L.names[i] for i in image]
-    leq = [[L.le(i, j) for j in image] for i in image]
-    mult = [[index[project(L.mul(i, j))] for j in image] for i in image]
+    leq = [[row[j] for j in image] for row in (L.leq[i] for i in image)]
+    mult = [[projection[row[j]] for j in image] for row in (L.mult[i] for i in image)]
     try:
         lattice = FiniteMultLattice(FinitePoset(names, leq), mult, provenance)
     except SharplatError as exc:
         raise InternalValidationFailure(
             f"{what} structure failed validation: {exc}", witness=exc.witness
         ) from exc
-    return lattice, tuple(index[project(x)] for x in L.elements())
+    return lattice, projection
 
 
 def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:

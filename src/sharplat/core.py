@@ -42,49 +42,77 @@ ElementId = int
 _PROVENANCE_KEYS = ("localized_at", "quotient_by")
 
 
-def _check_partial_order(leq: tuple[tuple[bool, ...], ...]) -> None:
-    n = len(leq)
+def _masks(rel) -> list[int]:
+    """Each row of a 0/1 relation as an int: bit k of row i is rel[i][k].
+    Rows of ``leq`` are up-sets, rows of its transpose down-sets."""
+    return [sum(1 << k for k, v in enumerate(row) if v) for row in rel]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _check_partial_order(up: list[int], down: list[int]) -> None:
+    """Check reflexivity, antisymmetry and transitivity of the relation
+    with up-set masks ``up`` and down-set masks ``down``, raising on the
+    lexicographically least witness of the first law that fails."""
+    n = len(up)
     for i in range(n):
-        if not leq[i][i]:
+        if not up[i] >> i & 1:
             raise NotAPartialOrder(f"leq not reflexive at {i}", witness=(i,))
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = next(_bits(both))
+            raise NotAPartialOrder(
+                f"leq not antisymmetric at ({i}, {j})", witness=(i, j)
+            )
+    for i, up_i in enumerate(up):
+        for j in _bits(up_i):
+            escaped = up[j] & ~up_i
+            if escaped:
+                k = next(_bits(escaped))
                 raise NotAPartialOrder(
-                    f"leq not antisymmetric at ({i}, {j})", witness=(i, j)
+                    f"leq not transitive at ({i}, {j}, {k})", witness=(i, j, k)
                 )
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                for k in range(n):
-                    if leq[j][k] and not leq[i][k]:
-                        raise NotAPartialOrder(
-                            f"leq not transitive at ({i}, {j}, {k})",
-                            witness=(i, j, k),
-                        )
 
 
-def _bound_table(rel, side: str, extreme: str) -> tuple[tuple[int, ...], ...]:
-    """All-pairs best bounds under ``rel``: least upper bounds for
-    ``leq``, greatest lower bounds for its transpose.  ``side`` and
-    ``extreme`` ("upper", "least") word the NotALattice raised on the
-    first pair without one."""
-    n = len(rel)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            bounds = [k for k in range(n) if rel[i][k] and rel[j][k]]
+def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...], ...]:
+    """All-pairs best bounds of a partial order given by its up-set
+    masks: least upper bounds for ``leq``, greatest lower bounds for
+    its transpose.  ``side`` and ``extreme`` ("upper", "least") word
+    the NotALattice raised on the first pair, in row-major order,
+    without one.
+
+    The bounds of (i, j) are ``up[i] & up[j]``, and u is the best one
+    when every bound lies in ``up[u]``.  In a partial order it is
+    unique, so the scan order cannot change the table: the id a
+    canonical (topological) order gives, the lowest bound for joins and
+    the highest for meets, is tried first, and only a miss scans the
+    bounds.  The table is symmetric, and the first failing pair of a
+    row-major scan has i <= j, so only that half is computed."""
+    n = len(up)
+    lowest_first = side == "upper"
+    table = [[0] * n for _ in range(n)]
+    for i, up_i in enumerate(up):
+        row = table[i]
+        for j in range(i, n):
+            bounds = up_i & up[j]
             if not bounds:
                 raise NotALattice(f"({i}, {j}) has no {side} bound", witness=(i, j))
-            best = [u for u in bounds if all(rel[u][v] for v in bounds)]
-            if not best:
-                raise NotALattice(
-                    f"({i}, {j}) has no {extreme} {side} bound", witness=(i, j)
-                )
-            row.append(best[0])
-        rows.append(tuple(row))
-    return tuple(rows)
+            u = (bounds & -bounds if lowest_first else bounds).bit_length() - 1
+            if bounds & ~up[u]:
+                u = next((v for v in _bits(bounds) if not bounds & ~up[v]), None)
+                if u is None:
+                    raise NotALattice(
+                        f"({i}, {j}) has no {extreme} {side} bound", witness=(i, j)
+                    )
+            row[j] = table[j][i] = u
+    return tuple(map(tuple, table))
 
 
 def canonical_permutation(leq) -> list[int]:
@@ -170,22 +198,22 @@ class FinitePoset(_Order):
         leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(leq) != n or any(len(row) != n for row in leq):
             raise BadSchema(f"leq must be {n}x{n}")
-        _check_partial_order(leq)
+        up, down = _masks(leq), _masks(zip(*leq))
+        _check_partial_order(up, down)
         self.size = n
         self.names = names
         self.leq = leq
-        self.joins = _bound_table(leq, "upper", "least")
-        self.meets = _bound_table(tuple(zip(*leq)), "lower", "greatest")
-        if any(not leq[0][i] for i in range(n)):
+        self.joins = _bound_table(up, "upper", "least")
+        self.meets = _bound_table(down, "lower", "greatest")
+        everything = (1 << n) - 1
+        if up[0] != everything:
             raise InternalValidationFailure("carrier not in canonical order: bottom")
-        if any(not leq[i][n - 1] for i in range(n)):
+        if down[n - 1] != everything:
             raise InternalValidationFailure("carrier not in canonical order: top")
-        for i in range(n):
-            for j in range(i):
-                if leq[i][j] and i != j:
-                    raise InternalValidationFailure(
-                        "carrier not in canonical order: not topological"
-                    )
+        if any(up_i & ((1 << i) - 1) for i, up_i in enumerate(up)):
+            raise InternalValidationFailure(
+                "carrier not in canonical order: not topological"
+            )
 
     @classmethod
     def from_raw(cls, names, leq) -> tuple["FinitePoset", list[int]]:
@@ -198,7 +226,7 @@ class FinitePoset(_Order):
         leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(leq) != len(names) or any(len(row) != len(names) for row in leq):
             raise BadSchema(f"leq must be {len(names)}x{len(names)}")
-        _check_partial_order(leq)
+        _check_partial_order(_masks(leq), _masks(zip(*leq)))
         order = canonical_permutation(leq)
         new_names = [names[o] for o in order]
         new_leq = [[leq[a][b] for b in order] for a in order]

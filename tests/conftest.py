@@ -1,12 +1,18 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from sharplat import enumeration, gallery
 from sharplat.core import FinitePoset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+# Reproducible runs: ``pytest --hypothesis-profile=ci`` draws the same
+# examples every time, and more of them for the properties that do not
+# pin their own ``max_examples``.  The default profile is unchanged.
+settings.register_profile("ci", derandomize=True, database=None, max_examples=300)
 
 
 def ranked_poset(names, rank) -> FinitePoset:

@@ -1,8 +1,14 @@
 """The batch CLI: exit codes, JSON reports, determinism, golden files."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharplat import exemplars, gallery
 from sharplat.cli import main
@@ -171,6 +177,66 @@ def test_report_matches_golden_file(capsys, tmp_path, fixtures_dir):
         code, out = run(capsys, "report", str(path))
         assert code == 0, name
         assert out == golden[name], name
+
+
+def _relisted(doc, order):
+    """``doc`` with its elements listed as ``order[new] = old``."""
+    position = {old: new for new, old in enumerate(order)}
+    return {
+        "elements": [doc["elements"][o] for o in order],
+        "leq": [[doc["leq"][a][b] for b in order] for a in order],
+        "mult": [[position[doc["mult"][a][b]] for b in order] for a in order],
+    }
+
+
+def _stable_topological_order(leq):
+    """The interchange format's canonical order: repeatedly take the
+    first remaining element, by listed position, whose strict
+    predecessors are all placed."""
+    placed = []
+    remaining = list(range(len(leq)))
+    while remaining:
+        i = next(
+            i for i in remaining
+            if all(j in placed for j in range(len(leq)) if j != i and leq[j][i])
+        )
+        placed.append(i)
+        remaining.remove(i)
+    return placed
+
+
+def _report_in_process(doc, flags):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "lattice.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["report", str(path), *flags])
+    return code, buf.getvalue()
+
+
+_GALLERY_DOCUMENTS = list(gallery.gallery_documents().values())
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_report_is_invariant_under_element_order(census_structures, data):
+    # a report on a scrambled document is byte-identical to the report
+    # on the same document relisted in canonical order
+    census = [L for family in census_structures.values() for L in family]
+    doc = data.draw(
+        st.sampled_from(_GALLERY_DOCUMENTS)
+        | st.sampled_from(census).map(lambda L: L.serialize()),
+        label="document",
+    )
+    order = data.draw(st.permutations(range(len(doc["elements"]))), label="order")
+    flags = data.draw(
+        st.sampled_from([[], ["--profile"], ["--sharp"], ["--audit"], ["--pretty"]]),
+        label="flags",
+    )
+    scrambled = _relisted(doc, order)
+    canonical = _relisted(scrambled, _stable_topological_order(scrambled["leq"]))
+    assert _report_in_process(scrambled, flags) == _report_in_process(canonical, flags)
 
 
 # -- enumerate ----------------------------------------------------------

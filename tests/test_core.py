@@ -1,13 +1,21 @@
 """Core lattice validation, residuation and serialization."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharplat import enumeration, gallery, parse_lattice, parse_poset
-from sharplat.core import FiniteMultLattice, FinitePoset
+from sharplat.core import (
+    FiniteMultLattice,
+    FinitePoset,
+    _bound_table,
+    _check_partial_order,
+    _masks,
+)
 from sharplat.errors import (
     BadSchema,
     InternalValidationFailure,
@@ -314,6 +322,188 @@ def test_single_cell_changes_fail_as_the_triple_scan_does(census_structures):
     assert seen == {
         None, NotCommutative, NoIdentity, NotAssociative, NotDistributive
     }
+
+
+# -- order tables from up-set masks ------------------------------------
+
+
+def _partial_order_scan(leq):
+    """The partial-order check as a plain scan over pairs and triples,
+    raising on the lexicographically least witness."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotAPartialOrder(f"leq not reflexive at {i}", witness=(i,))
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(
+                    f"leq not antisymmetric at ({i}, {j})", witness=(i, j)
+                )
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise NotAPartialOrder(
+                            f"leq not transitive at ({i}, {j}, {k})",
+                            witness=(i, j, k),
+                        )
+
+
+def _bound_table_scan(rel, side, extreme):
+    """All-pairs best bounds by listing every pair's bounds and testing
+    each against all the others."""
+    n = len(rel)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            bounds = [k for k in range(n) if rel[i][k] and rel[j][k]]
+            if not bounds:
+                raise NotALattice(f"({i}, {j}) has no {side} bound", witness=(i, j))
+            best = [u for u in bounds if all(rel[u][v] for v in bounds)]
+            if not best:
+                raise NotALattice(
+                    f"({i}, {j}) has no {extreme} {side} bound", witness=(i, j)
+                )
+            row.append(best[0])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _check_with_masks(leq):
+    return _check_partial_order(_masks(leq), _masks(zip(*leq)))
+
+
+def _outcome_of(build, *args):
+    """The value ``build`` returns, or the class, message and witness
+    of the toolkit error it raises."""
+    try:
+        return build(*args)
+    except SharplatError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _assert_tables_match_scan(leq):
+    transpose = tuple(zip(*leq))
+    for rel, side, extreme in ((leq, "upper", "least"), (transpose, "lower", "greatest")):
+        expected = _outcome_of(_bound_table_scan, rel, side, extreme)
+        assert _outcome_of(_bound_table, _masks(rel), side, extreme) == expected
+
+
+def _reflexive_relations(n):
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((False, True), repeat=len(off_diagonal)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), bit in zip(off_diagonal, bits):
+            leq[i][j] = bit
+        yield tuple(map(tuple, leq))
+
+
+def test_mask_tables_match_scans_on_every_small_relation():
+    # every reflexive relation on up to 4 elements (4,165 of them): the
+    # partial-order verdicts agree; on the antisymmetric ones, where a
+    # best bound is unique when it exists, so do both bound tables
+    verdicts = set()
+    tables = 0
+    for n in range(1, 5):
+        for leq in _reflexive_relations(n):
+            expected = _outcome_of(_partial_order_scan, leq)
+            assert _outcome_of(_check_with_masks, leq) == expected
+            verdicts.add(expected and expected[1].split(" at ")[0])
+            if not any(leq[i][j] and leq[j][i] for i in range(n) for j in range(i)):
+                _assert_tables_match_scan(leq)
+                tables += 1
+    assert verdicts == {None, "leq not antisymmetric", "leq not transitive"}
+    assert tables == 1 + 3 + 27 + 729
+
+
+@st.composite
+def labelled_orders(draw, max_size=9):
+    """A random partial order, often with a bottom and a top added, in
+    a random labelling: the order x < y of a random acyclic relation on
+    0..n-1, closed transitively, then listed in a drawn permutation."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    below = {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    }
+    if n > 1 and draw(st.booleans()):
+        below |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
+    lt = [[(i, j) in below for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if lt[i][k]:
+                for j in range(n):
+                    lt[i][j] = lt[i][j] or lt[k][j]
+    perm = draw(st.permutations(range(n)))
+    return tuple(
+        tuple(a == b or lt[a][b] for b in perm) for a in perm
+    )
+
+
+@settings(deadline=None)
+@given(leq=labelled_orders())
+def test_mask_tables_match_scans_on_labelled_orders(leq):
+    assert _check_with_masks(leq) is None
+    _assert_tables_match_scan(leq)
+
+
+@settings(deadline=None)
+@given(
+    leq=labelled_orders(),
+    flips=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3),
+)
+def test_partial_order_check_matches_scan_after_flips(leq, flips):
+    # an order with a few cells flipped: the same verdict and witness
+    n = len(leq)
+    rel = [list(row) for row in leq]
+    for i, j in flips:
+        rel[i % n][j % n] = not rel[i % n][j % n]
+    rel = tuple(map(tuple, rel))
+    assert _outcome_of(_check_with_masks, rel) == _outcome_of(_partial_order_scan, rel)
+
+
+def _named_tables(poset):
+    names = poset.names
+    return {
+        (names[i], names[j]): (names[poset.joins[i][j]], names[poset.meets[i][j]])
+        for i in range(poset.size)
+        for j in range(poset.size)
+    }
+
+
+def _scrambled(poset, seed):
+    order = list(range(poset.size))
+    random.Random(seed).shuffle(order)
+    return {
+        "elements": [poset.names[o] for o in order],
+        "leq": [[int(poset.leq[a][b]) for b in order] for a in order],
+    }
+
+
+def test_large_chain_and_product_tables():
+    # the 64-chain joins by max and meets by min; the 6x6 product joins
+    # and meets componentwise; scrambled copies parse to the same tables
+    chain = enumeration.chain_poset(64)
+    assert chain.joins == tuple(tuple(max(i, j) for j in range(64)) for i in range(64))
+    assert chain.meets == tuple(tuple(min(i, j) for j in range(64)) for i in range(64))
+    pairs = [(a, b) for a in range(6) for b in range(6)]
+    product = FinitePoset(
+        [f"{a}{b}" for a, b in pairs],
+        [[a <= c and b <= d for c, d in pairs] for a, b in pairs],
+    )
+    for x, (a, b) in enumerate(pairs):
+        for y, (c, d) in enumerate(pairs):
+            assert pairs[product.joins[x][y]] == (max(a, c), max(b, d))
+            assert pairs[product.meets[x][y]] == (min(a, c), min(b, d))
+    for poset in (chain, product):
+        for seed in range(3):
+            parsed = parse_poset(_scrambled(poset, seed))
+            assert _named_tables(parsed) == _named_tables(poset)
 
 
 # -- joins, meets, residuals, divisibility ----------------------------
