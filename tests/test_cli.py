@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sharplat import exemplars, gallery
 from sharplat.cli import main
+from sharplat.errors import InternalEquivalenceViolation, InternalValidationFailure
 
 
 def run(capsys, *argv):
@@ -337,6 +338,74 @@ def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--chain", "5", "--censu"])
     assert err.value.code == 2
+
+
+def _raise_from_report(error):
+    def sharpness_report(L):
+        raise error
+
+    return sharpness_report
+
+
+# a, b < c: every pair has an upper bound, but a and b have no lower one
+_NO_BOTTOM = {
+    "elements": ["a", "b", "c"],
+    "leq": [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+    "mult": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "document, patch, code, payload",
+    [
+        (None, None, 2, "io"),
+        (_NO_BOTTOM, None, 2, {
+            "error": "NotALattice",
+            "witness": [0, 1],
+            "detail": "(0, 1) has no lower bound",
+        }),
+        ({"elements": ["0", "1"], "leq": [[1, 1], [0, 1]]}, None, 2, {
+            "error": "BadSchema", "witness": None, "detail": 'missing "mult"',
+        }),
+        ("chain3_nil", InternalEquivalenceViolation(
+            "sharpness checks disagree: definition=True residual_identity=False "
+            "divides=True restricted_divides=True", witness=(1, 2),
+        ), 3, {
+            "error": "InternalEquivalenceViolation",
+            "witness": [1, 2],
+            "detail": "sharpness checks disagree: definition=True "
+            "residual_identity=False divides=True restricted_divides=True",
+        }),
+        ("chain3_nil", InternalValidationFailure("derived bound fails"), 3, {
+            "error": "InternalValidationFailure",
+            "witness": None,
+            "detail": "derived bound fails",
+        }),
+    ],
+    ids=["missing-file", "not-a-lattice", "bad-schema", "equivalence", "validation"],
+)
+def test_main_error_payloads(
+    capsys, monkeypatch, tmp_path, fixtures_dir, document, patch, code, payload
+):
+    from sharplat import predicates
+
+    if isinstance(document, str):
+        path = fixtures_dir / f"{document}.json"
+    else:
+        path = tmp_path / "input.json"
+        if document is not None:
+            path.write_text(json.dumps(document), encoding="utf-8")
+    if payload == "io":
+        with pytest.raises(OSError) as missing:
+            path.read_text(encoding="utf-8")
+        payload = {"valid": False, "stage": "io", "detail": str(missing.value)}
+    if patch is not None:
+        monkeypatch.setattr(predicates, "sharpness_report", _raise_from_report(patch))
+    for pretty in ([], ["--pretty"]):
+        out = run(capsys, "report", str(path), "--sharp", *pretty)
+        indent = 2 if pretty else None
+        separators = None if pretty else (",", ":")
+        assert out == (code, json.dumps(payload, indent=indent, separators=separators) + "\n")
 
 
 # -- exemplars ----------------------------------------------------------
