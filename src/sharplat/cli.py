@@ -266,18 +266,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _InputFailure as exc:
-        _emit(exc.payload, getattr(args, "pretty", False))
+        _emit(exc.payload, args.pretty)
         return EXIT_INVALID_INPUT
-    except (InternalEquivalenceViolation, InternalValidationFailure) as exc:
-        _emit(
-            {
-                "error": type(exc).__name__,
-                "witness": _witness(exc),
-                "detail": str(exc),
-            },
-            getattr(args, "pretty", False),
-        )
-        return EXIT_INTERNAL
     except ClaimFalsified as exc:
         _emit(
             {
@@ -286,7 +276,7 @@ def main(argv=None) -> int:
                 "witness": _witness(exc),
                 "lattice": exc.lattice_document,
             },
-            getattr(args, "pretty", False),
+            args.pretty,
         )
         return EXIT_INTERNAL
     except SharplatError as exc:
@@ -296,8 +286,10 @@ def main(argv=None) -> int:
                 "witness": _witness(exc),
                 "detail": str(exc),
             },
-            getattr(args, "pretty", False),
+            args.pretty,
         )
+        if isinstance(exc, (InternalEquivalenceViolation, InternalValidationFailure)):
+            return EXIT_INTERNAL
         return EXIT_INVALID_INPUT
 
 

@@ -115,23 +115,23 @@ def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...
     return tuple(map(tuple, table))
 
 
-def canonical_permutation(leq) -> list[int]:
-    """Stable topological order of a validated partial order: bottom
-    first, top last, ties broken by input position.
+def canonical_permutation(down: list[int]) -> list[int]:
+    """Stable topological order of a validated partial order given by
+    its down-set masks: bottom first, top last, ties broken by input
+    position.
 
     Returns ``order`` such that ``order[new_id] = old_id``.
     """
-    n = len(leq)
     placed: list[int] = []
-    remaining = list(range(n))
+    done = 0  # mask of the placed elements
+    remaining = list(range(len(down)))
     while remaining:
-        for i in remaining:
-            if all(j in placed or not leq[j][i] for j in range(n) if j != i):
-                placed.append(i)
-                remaining.remove(i)
-                break
-        else:
+        i = next((i for i in remaining if not down[i] & ~done & ~(1 << i)), None)
+        if i is None:
             raise NotAPartialOrder("cycle while ordering", witness=tuple(remaining))
+        placed.append(i)
+        done |= 1 << i
+        remaining.remove(i)
     return placed
 
 
@@ -226,8 +226,9 @@ class FinitePoset(_Order):
         leq = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(leq) != len(names) or any(len(row) != len(names) for row in leq):
             raise BadSchema(f"leq must be {len(names)}x{len(names)}")
-        _check_partial_order(_masks(leq), _masks(zip(*leq)))
-        order = canonical_permutation(leq)
+        down = _masks(zip(*leq))
+        _check_partial_order(_masks(leq), down)
+        order = canonical_permutation(down)
         new_names = [names[o] for o in order]
         new_leq = [[leq[a][b] for b in order] for a in order]
         return cls(new_names, new_leq), order

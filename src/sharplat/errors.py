@@ -63,6 +63,10 @@ class ZeroDivisor(SharplatError):
     """Residual by the zero ideal is undefined."""
 
 
+class NotInModel(SharplatError, ValueError):
+    """A value that an exemplar model does not admit."""
+
+
 class InternalEquivalenceViolation(SharplatError):
     """The four sharpness checks disagreed: an implementation bug,
     never a property of a valid lattice."""

@@ -29,7 +29,7 @@ from itertools import compress, product
 from math import gcd
 from operator import and_
 
-from .errors import ZeroDivisor
+from .errors import NotInModel, ZeroDivisor
 
 # -- the discrete valuation chain --------------------------------------
 
@@ -50,7 +50,7 @@ class ZMinusElement:
         if exponent is INFINITE:
             return
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer or INFINITE")
+            raise NotInModel("exponent must be a nonnegative integer or INFINITE")
 
     def is_bottom(self) -> bool:
         return self.exponent is INFINITE
@@ -117,12 +117,12 @@ class R1Element:
     def __post_init__(self):
         if self.kind == _ZERO:
             if self.endpoint is not None:
-                raise ValueError("the bottom has no endpoint")
+                raise NotInModel("the bottom has no endpoint")
             return
         if self.kind not in (_CLOSED, _OPEN):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise NotInModel(f"unknown kind {self.kind!r}")
         if not isinstance(self.endpoint, Fraction) or self.endpoint.numerator < 0:
-            raise ValueError("endpoint must be a nonnegative Fraction")
+            raise NotInModel("endpoint must be a nonnegative Fraction")
 
     @classmethod
     def closed(cls, r) -> "R1Element":
@@ -232,7 +232,7 @@ class FGIdeal:
     def __post_init__(self):
         for g in self.generators:
             if not isinstance(g, int) or g < 1:
-                raise ValueError("generators must be positive integers")
+                raise NotInModel("generators must be positive integers")
         minimal = _minimize(set(self.generators))
         if minimal != self.generators:
             object.__setattr__(self, "generators", minimal)
@@ -254,7 +254,7 @@ UNIT_IDEAL = FGIdeal.of(1)
 
 def ideal_member(a: FGIdeal, n: int) -> bool:
     if n < 1:
-        raise ValueError("membership is defined for positive integers")
+        raise NotInModel("membership is defined for positive integers")
     return any(n % g == 0 for g in a.generators)
 
 
@@ -333,8 +333,11 @@ def residual_members_scan(a: FGIdeal, b: FGIdeal, bound: int) -> list[int]:
 
 # -- the pseudo-Dedekind-but-not-sharp counterexample -------------------
 
+_WITNESS_SCAN = 200  # integers searched for a member of a outside b^3
+_ORACLE_BOUND = 300  # integers on which residuals meet the scan oracle
 
-def counterexample_report(scan_bound: int = 200) -> dict:
+
+def counterexample_report() -> dict:
     """Reproduce the full not-sharp computation for a = <4, 9> and
     b = <2, 3>: (a:b) = b^2, (a:(a:b)) = b, and their product b^3
     misses a (least witness 4), while residuals of principal ideals
@@ -347,7 +350,7 @@ def counterexample_report(scan_bound: int = 200) -> dict:
     b3 = ideal_product(b2, b)
     recomposed = ideal_product(res_a_ab, res_ab)
     witness = None
-    for n in range(1, scan_bound + 1):
+    for n in range(1, _WITNESS_SCAN + 1):
         if ideal_member(a, n) != ideal_member(recomposed, n):
             witness = n
             break
@@ -397,8 +400,8 @@ def zminus_selftest(max_exponent: int = 100) -> dict:
     }
 
 
-def _r1_random_element(rng: random.Random, allow_zero: bool = True) -> R1Element:
-    if allow_zero and rng.randrange(40) == 0:
+def _r1_random_element(rng: random.Random) -> R1Element:
+    if rng.randrange(40) == 0:
         return R1_ZERO
     endpoint = Fraction(rng.randrange(0, 2000), rng.randrange(1, 60))
     kind = _CLOSED if rng.randrange(2) == 0 else _OPEN
@@ -449,7 +452,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
     }
 
 
-def nideal_selftest(trials: int = 200, seed: int = 0, scan_bound: int = 300) -> dict:
+def nideal_selftest(trials: int = 200, seed: int = 0) -> dict:
     """The counterexample chain plus seeded random residuals checked
     against the membership-scan oracle."""
     report = counterexample_report()
@@ -461,15 +464,15 @@ def nideal_selftest(trials: int = 200, seed: int = 0, scan_bound: int = 300) -> 
         if b.is_zero():
             continue
         r = ideal_residual(a, b)
-        expected = residual_members_scan(a, b, scan_bound)
-        got = list(compress(range(scan_bound + 1), _sieve(r, scan_bound)))
+        expected = residual_members_scan(a, b, _ORACLE_BOUND)
+        got = list(compress(range(_ORACLE_BOUND + 1), _sieve(r, _ORACLE_BOUND)))
         if expected != got:
             failures.append((sorted(a.generators), sorted(b.generators)))
     report.update(
         {
             "trials": trials,
             "seed": seed,
-            "scan_bound": scan_bound,
+            "scan_bound": _ORACLE_BOUND,
             "oracle_failures": len(failures),
             "oracle_witnesses": failures[:10],
         }

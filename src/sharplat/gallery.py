@@ -12,35 +12,23 @@ import json
 from pathlib import Path
 
 from . import enumeration, predicates
-from .core import FiniteMultLattice, FinitePoset
-
-
-def _chain_leq(n):
-    return [[i <= j for j in range(n)] for i in range(n)]
+from .core import FiniteMultLattice
+from .enumeration import chain_poset, diamond_poset
 
 
 def chain2() -> FiniteMultLattice:
     """The two-element lattice; its table is forced."""
-    return FiniteMultLattice(
-        FinitePoset(["0", "1"], _chain_leq(2)),
-        [[0, 0], [0, 1]],
-    )
+    return FiniteMultLattice(chain_poset(2), [[0, 0], [0, 1]])
 
 
 def chain3_nil() -> FiniteMultLattice:
     """0 < m < 1 with m*m = 0."""
-    return FiniteMultLattice(
-        FinitePoset(["0", "m", "1"], _chain_leq(3)),
-        [[0, 0, 0], [0, 0, 1], [0, 1, 2]],
-    )
+    return FiniteMultLattice(chain_poset(3), [[0, 0, 0], [0, 0, 1], [0, 1, 2]])
 
 
 def chain3_idem() -> FiniteMultLattice:
     """0 < m < 1 with m*m = m."""
-    return FiniteMultLattice(
-        FinitePoset(["0", "m", "1"], _chain_leq(3)),
-        [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
-    )
+    return FiniteMultLattice(chain_poset(3), [[0, 0, 0], [0, 1, 1], [0, 1, 2]])
 
 
 def nonsharp5() -> FiniteMultLattice:
@@ -48,7 +36,7 @@ def nonsharp5() -> FiniteMultLattice:
     a*c = a, b*c = b, c*c = c: every element outside {c, 1} has
     nontrivial factors, yet the lattice is not sharp."""
     return FiniteMultLattice(
-        FinitePoset(["0", "a", "b", "c", "1"], _chain_leq(5)),
+        chain_poset(5),
         [
             [0, 0, 0, 0, 0],
             [0, 0, 0, 1, 1],
@@ -61,28 +49,17 @@ def nonsharp5() -> FiniteMultLattice:
 
 def diamond() -> FiniteMultLattice:
     """0 < p, q < 1 with incomparable p, q and multiplication = meet."""
-    poset = FinitePoset(
-        ["0", "p", "q", "1"],
-        [
-            [True, True, True, True],
-            [False, True, False, True],
-            [False, False, True, True],
-            [False, False, False, True],
-        ],
-    )
     return FiniteMultLattice(
-        poset,
-        [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]],
+        diamond_poset(2), [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
     )
 
 
 def sharp_chain5() -> list[FiniteMultLattice]:
     """Every sharp structure on the five-element chain, in enumeration
     order."""
-    poset = enumeration.chain_poset(5)
     return [
         L
-        for L in enumeration.enumerate_structures(poset)
+        for L in enumeration.enumerate_structures(chain_poset(5))
         if predicates.is_sharp(L)
     ]
 

@@ -5,9 +5,9 @@ the underlying theory on a concrete lattice.
 Quantifiers are evaluated over the whole carrier by reading the
 lattice's ``mult``, ``leq``, ``joins``/``meets`` and ``residuals``
 tables row by row; the definitional sharpness route works on bitmask
-sets instead, and its factorization witnesses come from a full scan
-run only when they are read.  Every negative answer carries the least
-witness in canonical order (lexicographic for tuples), so reports are
+sets instead, and :func:`factorization_witnesses`, a full scan, is its
+independent oracle.  Every negative answer carries the least witness in
+canonical order (lexicographic for tuples), so reports are
 reproducible.
 
 ``_analyse`` scans the carrier once for the maximal, prime,
@@ -21,9 +21,8 @@ into one ``ClaimRecord``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .core import ElementId, FiniteMultLattice
+from .core import ElementId, FiniteMultLattice, _masks
 from .errors import ClaimFalsified, InternalEquivalenceViolation
 
 
@@ -118,7 +117,7 @@ def _weak_join_principal_witness(L, x):
 @dataclass(frozen=True)
 class ElementProfile:
     """Per-element property booleans; false answers carry the least
-    witness tuple under ``witnesses[check_name]``."""
+    witness tuple under ``witnesses[check_name]``, in key order."""
 
     element: ElementId
     name: str
@@ -144,35 +143,28 @@ class ElementProfile:
             "is_join_principal": self.is_join_principal,
             "is_weak_join_principal": self.is_weak_join_principal,
             "is_principal": self.is_principal,
-            "witnesses": {k: list(v) for k, v in sorted(self.witnesses.items())},
+            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
         }
 
 
 def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
     """All element predicates for x, each by exhaustive scan."""
-    checks = {
-        "is_prime": prime_witness(L, x),
-        "is_maximal": _maximal_witness(L, x),
+    checks = {  # in key order, which is the order of ``witnesses``
         "is_cancellative": _cancellative_witness(L, x),
-        "is_meet_principal": _meet_principal_witness(L, x),
-        "is_weak_meet_principal": _weak_meet_principal_witness(L, x),
         "is_join_principal": _join_principal_witness(L, x),
+        "is_maximal": _maximal_witness(L, x),
+        "is_meet_principal": _meet_principal_witness(L, x),
+        "is_prime": prime_witness(L, x),
         "is_weak_join_principal": _weak_join_principal_witness(L, x),
+        "is_weak_meet_principal": _weak_meet_principal_witness(L, x),
     }
-    witnesses = {k: w for k, w in checks.items() if w is not None}
+    flags = {k: w is None for k, w in checks.items()}
     return ElementProfile(
         element=x,
         name=L.names[x],
-        is_prime=checks["is_prime"] is None,
-        is_maximal=checks["is_maximal"] is None,
-        is_cancellative=checks["is_cancellative"] is None,
-        is_meet_principal=checks["is_meet_principal"] is None,
-        is_weak_meet_principal=checks["is_weak_meet_principal"] is None,
-        is_join_principal=checks["is_join_principal"] is None,
-        is_weak_join_principal=checks["is_weak_join_principal"] is None,
-        is_principal=checks["is_meet_principal"] is None
-        and checks["is_join_principal"] is None,
-        witnesses=witnesses,
+        **flags,
+        is_principal=flags["is_meet_principal"] and flags["is_join_principal"],
+        witnesses={k: w for k, w in checks.items() if w is not None},
     )
 
 
@@ -245,9 +237,9 @@ def _analyse(L) -> tuple:
     it.  Returns (profile, primes, join-principals, principals,
     pseudo-Dedekind witness)."""
     ids = range(L.size)
-    maximals = tuple(x for x in ids if _maximal_witness(L, x) is None)
-    primes = tuple(p for p in ids if prime_witness(L, p) is None)
-    jp = tuple(x for x in ids if _join_principal_witness(L, x) is None)
+    maximals = maximal_elements(L)
+    primes = prime_elements(L)
+    jp = join_principal_elements(L)
     principals = tuple(x for x in jp if _meet_principal_witness(L, x) is None)
     pd_witness = _pseudo_dedekind_witness(L, principals)
     all_principal = len(principals) == L.size
@@ -290,12 +282,6 @@ def _dimension(L, nonzero_primes) -> int:
     return best
 
 
-def pseudo_dedekind_witness(L: FiniteMultLattice) -> tuple | None:
-    """None when (x:a) is principal for every principal x and every a;
-    otherwise the least offending (x, a)."""
-    return _pseudo_dedekind_witness(L, principal_elements(L))
-
-
 def _pseudo_dedekind_witness(L, principals) -> tuple | None:
     members = set(principals)
     for x in principals:  # ascending
@@ -306,7 +292,9 @@ def _pseudo_dedekind_witness(L, principals) -> tuple | None:
 
 
 def is_pseudo_dedekind(L: FiniteMultLattice) -> tuple[bool, tuple | None]:
-    w = pseudo_dedekind_witness(L)
+    """(True, None) when (x:a) is principal for every principal x and
+    every a; otherwise (False, the least offending (x, a))."""
+    w = _pseudo_dedekind_witness(L, principal_elements(L))
     return w is None, w
 
 
@@ -315,33 +303,21 @@ def is_pseudo_dedekind(L: FiniteMultLattice) -> tuple[bool, tuple | None]:
 
 @dataclass(frozen=True)
 class SharpnessReport:
-    """Results of the four equivalent sharpness checks.
-
-    ``counterexample`` is the least (a, b) failing the residual identity
-    when the lattice is not sharp.  ``factorization_witnesses`` maps
-    each (a1, a2, b) with a1 a2 <= b to the least factorization
-    (b1, b2) of b with a_i <= b_i, and is empty when the lattice is not
-    sharp.  It is built on first access, by a full scan of ``lattice``;
-    like ``lattice`` it takes no part in comparisons.
-    """
+    """Results of the four equivalent sharpness checks; ``counterexample``
+    is the least (a, b) failing the residual identity, or None if sharp."""
 
     by_definition: bool
     by_residual_identity: bool
     by_divides: bool
     by_restricted_divides: bool
     counterexample: tuple | None
-    lattice: FiniteMultLattice = field(compare=False, repr=False)
 
     @property
     def is_sharp(self) -> bool:
         return self.by_definition
 
-    @cached_property
-    def factorization_witnesses(self) -> dict:
-        return _definition_check(self.lattice)[1]
-
-    def to_dict(self, include_witnesses: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "by_definition": self.by_definition,
             "by_residual_identity": self.by_residual_identity,
             "by_divides": self.by_divides,
@@ -351,12 +327,6 @@ class SharpnessReport:
             if self.counterexample is not None
             else None,
         }
-        if include_witnesses:
-            out["factorization_witnesses"] = [
-                [list(k), list(v)]
-                for k, v in sorted(self.factorization_witnesses.items())
-            ]
-        return out
 
 
 def _sharp_by_definition(L) -> bool:
@@ -366,7 +336,7 @@ def _sharp_by_definition(L) -> bool:
     n = L.size
     mult, leq = L.mult, L.leq
     ids = range(n)
-    down = [sum(1 << y for y in ids if leq[y][x]) for x in ids]
+    down = _masks(zip(*leq))
     ups = [[y for y in ids if leq[x][y]] for x in ids]
     cover = [[0] * n for _ in ids]  # [b][b1]: a2 <= some b2 with b1 b2 = b
     need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 <= b
@@ -385,10 +355,11 @@ def _sharp_by_definition(L) -> bool:
     return True
 
 
-def _definition_check(L) -> tuple[bool, dict]:
-    """Search a factorization b = b1 b2 with a_i <= b_i for every
-    a1 a2 <= b, by full scan: the witness builder behind
-    ``factorization_witnesses`` and the oracle for the table route."""
+def factorization_witnesses(L: FiniteMultLattice) -> dict:
+    """Map each (a1, a2, b) with a1 a2 <= b to the least factorization
+    (b1, b2) of b with a_i <= b_i, by full scan, or ``{}`` if one has
+    none.  It always holds (0, 0, 0), so L is sharp exactly when it is
+    non-empty: the oracle for the table route."""
     witnesses = {}
     for a1 in L.elements():
         for a2 in L.elements():
@@ -407,9 +378,9 @@ def _definition_check(L) -> tuple[bool, dict]:
                             found = (b1, b2)
                             break
                 if found is None:
-                    return False, {}
+                    return {}
                 witnesses[(a1, a2, b)] = found
-    return True, witnesses
+    return witnesses
 
 
 def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
@@ -440,7 +411,7 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
             f"divides={by_div} restricted_divides={by_restricted}",
             witness=ce,
         )
-    return SharpnessReport(*answers, counterexample=ce, lattice=L)
+    return SharpnessReport(*answers, counterexample=ce)
 
 
 # -- principal monoid -------------------------------------------------

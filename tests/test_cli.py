@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -513,3 +515,28 @@ def test_pretty_flag(capsys, fixtures_dir):
     code, out = run(capsys, "validate", str(fixtures_dir / "chain2.json"), "--pretty")
     assert code == 0
     assert out.startswith("{\n")
+
+
+# -- runtime dependencies -----------------------------------------------
+
+
+def test_runtime_imports_only_the_standard_library():
+    # without site-packages on the path, importing the package and its
+    # CLI loads no module from outside the standard library
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import sharplat, sharplat.cli\n"
+        "print('\\n'.join(sorted({m.partition('.')[0] for m in sys.modules})))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    loaded = set(result.stdout.split())
+    assert "sharplat" in loaded
+    assert loaded - {"sharplat", "__main__"} <= sys.stdlib_module_names

@@ -15,6 +15,7 @@ from sharplat.core import (
     _bound_table,
     _check_partial_order,
     _masks,
+    canonical_permutation,
 )
 from sharplat.errors import (
     BadSchema,
@@ -450,6 +451,37 @@ def labelled_orders(draw, max_size=9):
 def test_mask_tables_match_scans_on_labelled_orders(leq):
     assert _check_with_masks(leq) is None
     _assert_tables_match_scan(leq)
+
+
+def _canonical_order_scan(leq):
+    """The list scan canonical_permutation replaced: repeatedly place
+    the first remaining element whose strict predecessors are placed."""
+    n = len(leq)
+    placed = []
+    remaining = list(range(n))
+    while remaining:
+        i = next(
+            i for i in remaining
+            if all(j in placed or not leq[j][i] for j in range(n) if j != i)
+        )
+        placed.append(i)
+        remaining.remove(i)
+    return placed
+
+
+@settings(deadline=None)
+@given(leq=labelled_orders())
+def test_canonical_permutation_matches_list_scan(leq):
+    assert canonical_permutation(_masks(zip(*leq))) == _canonical_order_scan(leq)
+
+
+def test_canonical_permutation_rejects_a_cycle():
+    # 0 < 1 < 0, and 2 above both: nothing can be placed first
+    down = [0b011, 0b011, 0b111]
+    with pytest.raises(NotAPartialOrder) as err:
+        canonical_permutation(down)
+    assert str(err.value) == "cycle while ordering"
+    assert err.value.witness == (0, 1, 2)
 
 
 @settings(deadline=None)

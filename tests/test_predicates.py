@@ -1,5 +1,7 @@
 """Element/lattice predicates, sharpness, and the claim audit."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from sharplat import cli, constructions, enumeration, gallery, parse_lattice, pr
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
     element_profile,
+    factorization_witnesses,
     is_pseudo_dedekind,
     lattice_profile,
     maximal_elements,
@@ -141,7 +144,7 @@ def test_sharpness_nonsharp5(nonsharp5):
     )
     # least failing pair of the residual identity is (a, b)
     assert report.counterexample == (nonsharp5.id_of("a"), nonsharp5.id_of("b"))
-    assert report.factorization_witnesses == {}
+    assert factorization_witnesses(nonsharp5) == {}
 
 
 def test_sharpness_trivial_and_chain3(chain2, chain3_nil, chain3_idem, diamond):
@@ -153,15 +156,15 @@ def test_sharpness_trivial_and_chain3(chain2, chain3_nil, chain3_idem, diamond):
 
 def test_factorization_witnesses_are_factorizations(chain3_nil, diamond):
     for L in (chain3_nil, diamond):
-        report = sharpness_report(L)
+        witnesses = factorization_witnesses(L)
         seen = set()
         for a1 in L.elements():
             for a2 in L.elements():
                 for b in L.elements():
                     if L.le(L.mul(a1, a2), b):
                         seen.add((a1, a2, b))
-        assert set(report.factorization_witnesses) == seen
-        for (a1, a2, b), (b1, b2) in report.factorization_witnesses.items():
+        assert set(witnesses) == seen
+        for (a1, a2, b), (b1, b2) in witnesses.items():
             assert L.mul(b1, b2) == b
             assert L.le(a1, b1) and L.le(a2, b2)
 
@@ -214,13 +217,30 @@ def test_table_definition_route_matches_full_scan(census_structures):
     for structures in groups:
         for L in structures:
             by_table = predicates._sharp_by_definition(L)
-            assert by_table == predicates._definition_check(L)[0]
+            assert by_table == bool(factorization_witnesses(L))
             sharp += by_table
             not_sharp += not by_table
     assert sharp > 0 and not_sharp > 0
     assert [predicates._sharp_by_definition(L) for L in larger] == [
         True, True, False, True, False
     ]
+
+
+def test_factorization_witnesses_match_fixture(fixtures_dir):
+    # pinned before the scan moved out of the sharpness report: every
+    # gallery lattice (nonsharp5 has none) and the valuation 8-chain
+    pinned = json.loads(
+        (fixtures_dir / "factorization_witnesses.json").read_text(encoding="utf-8")
+    )
+    lattices = {
+        name: parse_lattice(doc) for name, doc in gallery.gallery_documents().items()
+    }
+    lattices["valuation8"] = _valuation_chain(8)
+    assert list(pinned) == list(lattices)
+    assert sum(len(pinned[name]) for name in gallery.gallery_documents()) == 1383
+    for name, L in lattices.items():
+        witnesses = factorization_witnesses(L)
+        assert [[list(k), list(v)] for k, v in witnesses.items()] == pinned[name], name
 
 
 def test_factorization_witnesses_are_built_on_request(
@@ -234,28 +254,13 @@ def test_factorization_witnesses_are_built_on_request(
     def no_scan(L):
         raise AssertionError("factorization witnesses were built")
 
-    full_scan = predicates._definition_check
-    monkeypatch.setattr(predicates, "_definition_check", no_scan)
+    monkeypatch.setattr(predicates, "factorization_witnesses", no_scan)
     assert enumeration.census(enumeration.chain_poset(6)).to_dict() == expected_census
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected_report
 
-    calls = []
-
-    def counted_scan(L):
-        calls.append(L)
-        return full_scan(L)
-
-    monkeypatch.setattr(predicates, "_definition_check", counted_scan)
     L = _valuation_chain(8)
-    witnesses = full_scan(L)[1]
     report = sharpness_report(L)
-    assert calls == []
-    assert report.factorization_witnesses == witnesses
-    assert report.to_dict(include_witnesses=True)["factorization_witnesses"] == [
-        [list(k), list(v)] for k, v in sorted(witnesses.items())
-    ]
-    assert calls == [L]  # built once, then kept
     assert report == sharpness_report(L)
     assert hash(report) == hash(sharpness_report(L))
 
