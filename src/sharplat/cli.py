@@ -12,6 +12,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,28 +94,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _read_document(args.path)
-    lattice = parse_lattice(doc)
-    wanted_all = not (args.profile or args.sharp or args.audit)
-    out: dict = {"elements": list(lattice.names)}
-    if args.profile or wanted_all:
-        out["profile"] = predicates.lattice_profile(lattice).to_dict()
-        out["element_profiles"] = [
-            predicates.element_profile(lattice, x).to_dict()
-            for x in lattice.elements()
-        ]
-        out["principal_monoid"] = predicates.principal_monoid(lattice).to_dict()
-    if args.sharp or wanted_all:
-        report = predicates.sharpness_report(lattice)
-        section = report.to_dict()
-        if report.counterexample is not None:
-            section["counterexample_names"] = [
-                lattice.names[i] for i in report.counterexample
-            ]
-        out["sharpness"] = section
-    if args.audit or wanted_all:
-        audit = predicates.theorem_audit(lattice)
-        out["audit"] = audit.to_dict()
+    lattice = parse_lattice(_read_document(args.path))
+    sections = [s for s in predicates.REPORT_SECTIONS if getattr(args, s)]
+    out = predicates.report(lattice, sections or predicates.REPORT_SECTIONS)
     _emit(out, args.pretty)
     return EXIT_OK
 
@@ -140,7 +122,7 @@ def cmd_enumerate(args) -> int:
         structures = list(enumeration.enumerate_structures(poset))
         if args.audit_each:
             for L in structures:
-                enumeration._audit(L)
+                enumeration.audit_structure(L)
         out = {
             "poset": {
                 "elements": list(poset.names),
@@ -204,7 +186,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` reads
+    it without changing it, so :func:`main` may be called repeatedly."""
     parser = argparse.ArgumentParser(
         prog="sharplat",
         description="Exact toolkit for finite multiplicative lattices",

@@ -93,6 +93,11 @@ def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     the result is validated from scratch.
     """
     _require_prime(L, p)
+    return _localized(L, p)
+
+
+def _localized(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
+    """:func:`localize` at a p the caller knows to be prime."""
     loc = [_localize_element(L, p, x) for x in L.elements()]
     image = tuple(sorted(set(loc)))
     lattice, projection = _sublattice(

@@ -81,6 +81,25 @@ def _check_partial_order(up: list[int], down: list[int]) -> None:
                 )
 
 
+def _checked_order(names, leq) -> tuple:
+    """``leq`` as a tuple of bool rows, checked to be a partial order on
+    ``names``, with its up-set and down-set masks."""
+    n = len(names)
+    leq = tuple(tuple(bool(v) for v in row) for row in leq)
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise BadSchema(f"leq must be {n}x{n}")
+    up, down = _masks(leq), _masks(zip(*leq))
+    _check_partial_order(up, down)
+    return leq, up, down
+
+
+def _check_names(names: tuple) -> None:
+    if not names:
+        raise NotALattice("empty carrier has no bottom/top")
+    if len(set(names)) != len(names):
+        raise BadSchema("element names are not distinct")
+
+
 def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...], ...]:
     """All-pairs best bounds of a partial order given by its up-set
     masks: least upper bounds for ``leq``, greatest lower bounds for
@@ -190,16 +209,15 @@ class FinitePoset(_Order):
 
     def __init__(self, names: Iterable[str], leq) -> None:
         names = tuple(str(x) for x in names)
+        _check_names(names)
+        leq, up, down = _checked_order(names, leq)
+        self._set_order(names, leq, up, down)
+
+    def _set_order(self, names, leq, up, down) -> None:
+        """Store a checked partial order on a carrier in canonical order,
+        given with its up-set and down-set masks, and build the join and
+        meet tables."""
         n = len(names)
-        if n == 0:
-            raise NotALattice("empty carrier has no bottom/top")
-        if len(set(names)) != n:
-            raise BadSchema("element names are not distinct")
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(leq) != n or any(len(row) != n for row in leq):
-            raise BadSchema(f"leq must be {n}x{n}")
-        up, down = _masks(leq), _masks(zip(*leq))
-        _check_partial_order(up, down)
         self.size = n
         self.names = names
         self.leq = leq
@@ -223,15 +241,16 @@ class FinitePoset(_Order):
         so companion tables can be reordered the same way.
         """
         names = tuple(str(x) for x in names)
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(leq) != len(names) or any(len(row) != len(names) for row in leq):
-            raise BadSchema(f"leq must be {len(names)}x{len(names)}")
-        down = _masks(zip(*leq))
-        _check_partial_order(_masks(leq), down)
+        leq, up, down = _checked_order(names, leq)
         order = canonical_permutation(down)
-        new_names = [names[o] for o in order]
-        new_leq = [[leq[a][b] for b in order] for a in order]
-        return cls(new_names, new_leq), order
+        _check_names(names)
+        # masks of the relisted rows cost less than relisting the masks
+        leq = tuple(tuple(leq[a][b] for b in order) for a in order)
+        poset = cls.__new__(cls)
+        poset._set_order(
+            tuple(names[o] for o in order), leq, _masks(leq), _masks(zip(*leq))
+        )
+        return poset, order
 
     def is_chain(self) -> bool:
         return all(

@@ -280,7 +280,7 @@ def census(
         if all(predicates._is_principal(L, x) for x in L.elements()):
             all_principal += 1
         if audit_each:
-            _audit(L)
+            audit_structure(L)
         if keep_representatives:
             reps.append(L.serialize())
         if autos is not None:
@@ -297,7 +297,7 @@ def census(
     )
 
 
-def _audit(L: FiniteMultLattice) -> None:
+def audit_structure(L: FiniteMultLattice) -> None:
     """Run the claim audit on L; a failure carries L's document as
     ``lattice_document`` for the report."""
     try:

@@ -10,17 +10,22 @@ independent oracle.  Every negative answer carries the least witness in
 canonical order (lexicographic for tuples), so reports are
 reproducible.
 
-``_analyse`` scans the carrier once for the maximal, prime,
-join-principal and principal elements and builds the lattice profile
-from them; :func:`lattice_profile` and :func:`theorem_audit` both read
-it.  Each audit claim goes through ``_claim``, which turns the
-structural hypotheses, the property antecedent and a witness search
-into one ``ClaimRecord``.
+``_analyse`` builds the lattice profile, and what the principal
+monoid and the audit read besides it, from the maximal, prime,
+join-principal and principal elements.  Called alone,
+:func:`lattice_profile` and :func:`theorem_audit` find those sets with
+one scan each (``_scan``).  :func:`report`, the document ``sharplat
+report`` prints, runs every element check once and reads the sets off
+the results, so one report analyses its lattice once; the standalone
+functions are its oracles.  Each audit claim goes through ``_claim``,
+which turns the structural hypotheses, the property antecedent and a
+witness search into one ``ClaimRecord``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import ElementId, FiniteMultLattice, _masks
 from .errors import ClaimFalsified, InternalEquivalenceViolation
@@ -43,6 +48,15 @@ def prime_witness(L: FiniteMultLattice, p: ElementId) -> tuple | None:
             if leq[xy][p] and not leq[y][p]:
                 return (x, y)
     return None
+
+
+def _prime_by_residuals(L, p) -> bool:
+    """Whether a proper p is prime, read from the residual table: xy <= p
+    exactly when y <= (p:x), so p is prime iff (p:x) <= p for every x
+    not below p.  The sharpness report's primality test, independent of
+    :func:`prime_witness`."""
+    leq = L.leq
+    return all(leq[px][p] for px, x_row in zip(L.residuals[p], leq) if not x_row[p])
 
 
 def prime_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
@@ -149,7 +163,13 @@ class ElementProfile:
 
 def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
     """All element predicates for x, each by exhaustive scan."""
-    checks = {  # in key order, which is the order of ``witnesses``
+    return _element_profile(L, x, _element_checks(L, x))
+
+
+def _element_checks(L, x) -> dict:
+    """The least witness against each element predicate for x, or None
+    where it holds."""
+    return {  # in key order, which is the order of ``witnesses``
         "is_cancellative": _cancellative_witness(L, x),
         "is_join_principal": _join_principal_witness(L, x),
         "is_maximal": _maximal_witness(L, x),
@@ -158,6 +178,9 @@ def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
         "is_weak_join_principal": _weak_join_principal_witness(L, x),
         "is_weak_meet_principal": _weak_meet_principal_witness(L, x),
     }
+
+
+def _element_profile(L, x, checks) -> ElementProfile:
     flags = {k: w is None for k, w in checks.items()}
     return ElementProfile(
         element=x,
@@ -230,17 +253,30 @@ class LatticeProfile:
         }
 
 
-def _analyse(L) -> tuple:
+class _Analysis(NamedTuple):
+    """The lattice profile and what the principal monoid and the audit
+    read besides it; element tuples are ascending."""
+
+    profile: LatticeProfile
+    primes: tuple[ElementId, ...]
+    join_principals: tuple[ElementId, ...]
+    principals: tuple[ElementId, ...]
+    pd_witness: tuple | None
+
+
+def _scan(L) -> _Analysis:
     """One scan each for the maximal, prime, join-principal and (among
-    those) meet-principal elements, and the lattice profile built from
-    them; both :func:`lattice_profile` and :func:`theorem_audit` read
-    it.  Returns (profile, primes, join-principals, principals,
-    pseudo-Dedekind witness)."""
-    ids = range(L.size)
-    maximals = maximal_elements(L)
-    primes = prime_elements(L)
+    those) meet-principal elements; what :func:`lattice_profile` and
+    :func:`theorem_audit` read when called alone."""
     jp = join_principal_elements(L)
     principals = tuple(x for x in jp if _meet_principal_witness(L, x) is None)
+    return _analyse(L, maximal_elements(L), prime_elements(L), jp, principals)
+
+
+def _analyse(L, maximals, primes, jp, principals) -> _Analysis:
+    """The analysis built from the maximal, prime, join-principal and
+    principal elements of L."""
+    ids = range(L.size)
     pd_witness = _pseudo_dedekind_witness(L, principals)
     all_principal = len(principals) == L.size
     pg = all(L.join_of(p for p in principals if L.le(p, x)) == x for x in ids)
@@ -258,7 +294,7 @@ def _analyse(L) -> tuple:
         is_h_local=h_local,
         dimension=_dimension(L, nonzero_primes),
     )
-    return profile, primes, jp, principals, pd_witness
+    return _Analysis(profile, primes, jp, principals, pd_witness)
 
 
 def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
@@ -267,7 +303,7 @@ def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
     principal) and the finite-character half of h-locality is automatic;
     the h-local flag tests only that each nonzero prime sits below a
     unique maximal element."""
-    return _analyse(L)[0]
+    return _scan(L).profile
 
 
 def _dimension(L, nonzero_primes) -> int:
@@ -399,7 +435,7 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
     # decided only for an a that fails divisibility
     by_restricted = not any(
         any(leq[a][b] and a not in mult[res[a][b]] for b in range(a + 1, top))
-        and prime_witness(L, a) is not None
+        and not _prime_by_residuals(L, a)
         for a in range(1, top)
     )
 
@@ -439,8 +475,17 @@ class PrincipalMonoidReport:
 
 def principal_monoid(L: FiniteMultLattice) -> PrincipalMonoidReport:
     principals = principal_elements(L)
-    is_domain = prime_witness(L, 0) is None
-    if not (is_domain and _pseudo_dedekind_witness(L, principals) is None):
+    pd_domain = (
+        prime_witness(L, 0) is None
+        and _pseudo_dedekind_witness(L, principals) is None
+    )
+    return _principal_monoid(L, principals, pd_domain)
+
+
+def _principal_monoid(L, principals, pd_domain) -> PrincipalMonoidReport:
+    """The report for the principal elements of L; ``pd_domain`` says
+    whether L is a pseudo-Dedekind domain."""
+    if not pd_domain:
         return PrincipalMonoidReport(principals, False, None, None)
     holds, witness = _lcm_law(L, principals)
     return PrincipalMonoidReport(principals, True, holds, witness)
@@ -537,9 +582,13 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
     valid lattice indicates a bug somewhere in this package, so by
     default it raises ClaimFalsified.
     """
+    return _audit(L, _scan(L), raise_on_falsified)
+
+
+def _audit(L, analysis: _Analysis, raise_on_falsified: bool = True) -> TheoremAudit:
     from . import constructions  # deferred: constructions uses the prime check
 
-    profile, primes, jp, principals, pd_witness = _analyse(L)
+    profile, primes, jp, principals, pd_witness = analysis
     sharp = is_sharp(L)
     maximals = profile.max_elements
     ids, top = range(L.size), L.top
@@ -552,7 +601,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
 
     def residual_localization():
         for m in maximals:
-            loc = constructions.localize(L, m)
+            loc = constructions._localized(L, m)  # maximal, hence prime
             Lm, proj = loc.lattice, loc.projection
             for a in ids[1:]:
                 for b in ids[1:]:
@@ -577,7 +626,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
         _claim("trivial_divisors_prime", True, sharp, lambda: first(
             (p,) for p in range(top)  # the proper elements
             if {d for d in ids if L.divides(d, p) is not None} <= {p, top}
-            and prime_witness(L, p) is not None
+            and p not in primes
         )),
     ]
 
@@ -604,7 +653,7 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
                local_join_representation),
         # localization at any prime preserves sharpness
         _claim("localization_preserves_sharp", True, sharp, lambda: first(
-            (p,) for p in primes if not is_sharp(constructions.localize(L, p).lattice)
+            (p,) for p in primes if not is_sharp(constructions._localized(L, p).lattice)
         )),
     ]
 
@@ -642,3 +691,60 @@ def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> Theo
         bad = audit.falsified[0]
         raise ClaimFalsified(bad.claim, bad.witness)
     return audit
+
+
+# -- the report document ----------------------------------------------
+
+REPORT_SECTIONS = ("profile", "sharp", "audit")
+
+
+def report(L: FiniteMultLattice, sections=REPORT_SECTIONS) -> dict:
+    """The document ``sharplat report`` prints: the element names, then
+    for each of ``sections`` (a subset of :data:`REPORT_SECTIONS`) its
+    keys.  "profile" gives the lattice profile, every element profile
+    and the principal monoid, "sharp" the sharpness report with the
+    counterexample's names, and "audit" the theorem audit.
+
+    The carrier is analysed once: with "profile", the element checks
+    run once per element and the profile, the principal monoid and the
+    audit read their results; with "audit" alone, the audit's own scan
+    runs.  Each section equals what :func:`lattice_profile`,
+    :func:`element_profile`, :func:`principal_monoid`,
+    :func:`sharpness_report` and :func:`theorem_audit` return on L."""
+    out: dict = {"elements": list(L.names)}
+    if "profile" in sections:
+        checks = [_element_checks(L, x) for x in L.elements()]
+
+        def passing(*keys):
+            return tuple(
+                x for x, c in enumerate(checks) if all(c[k] is None for k in keys)
+            )
+
+        analysis = _analyse(
+            L,
+            passing("is_maximal"),
+            passing("is_prime"),
+            passing("is_join_principal"),
+            passing("is_join_principal", "is_meet_principal"),
+        )
+        profile = analysis.profile
+        out["profile"] = profile.to_dict()
+        out["element_profiles"] = [
+            _element_profile(L, x, c).to_dict() for x, c in enumerate(checks)
+        ]
+        out["principal_monoid"] = _principal_monoid(
+            L, analysis.principals, profile.is_domain and profile.is_pseudo_dedekind
+        ).to_dict()
+    elif "audit" in sections:
+        analysis = _scan(L)
+    if "sharp" in sections:
+        sharpness = sharpness_report(L)
+        section = sharpness.to_dict()
+        if sharpness.counterexample is not None:
+            section["counterexample_names"] = [
+                L.names[i] for i in sharpness.counterexample
+            ]
+        out["sharpness"] = section
+    if "audit" in sections:
+        out["audit"] = _audit(L, analysis).to_dict()
+    return out

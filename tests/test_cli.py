@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharplat import exemplars, gallery
+from sharplat import cli, exemplars, gallery
 from sharplat.cli import main
 from sharplat.errors import InternalEquivalenceViolation, InternalValidationFailure
 
@@ -180,6 +182,81 @@ def test_report_matches_golden_file(capsys, tmp_path, fixtures_dir):
         code, out = run(capsys, "report", str(path))
         assert code == 0, name
         assert out == golden[name], name
+
+
+# the keys each report flag prints, besides "elements"
+_SECTION_KEYS = {
+    "profile": ("profile", "element_profiles", "principal_monoid"),
+    "sharp": ("sharpness",),
+    "audit": ("audit",),
+}
+
+
+def test_partial_reports_match_golden_file(capsys, tmp_path, fixtures_dir):
+    # one and two flags print exactly the golden full report's keys for
+    # those flags, in the same bytes
+    golden = json.loads(
+        (fixtures_dir / "report_gallery.json").read_text(encoding="utf-8")
+    )
+    flag_sets = [
+        flags for k in (1, 2) for flags in itertools.combinations(_SECTION_KEYS, k)
+    ]
+    for name, path in _report_golden_paths(fixtures_dir, tmp_path).items():
+        full = json.loads(golden[name])
+        for flags in flag_sets:
+            keys = {"elements", *(key for f in flags for key in _SECTION_KEYS[f])}
+            expected = json.dumps(
+                {k: v for k, v in full.items() if k in keys}, separators=(",", ":")
+            )
+            argv = ["report", str(path), *(f"--{f}" for f in flags)]
+            assert run(capsys, *argv) == (0, expected + "\n"), (name, flags)
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejecting the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``sharplat argv`` in a new process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "sharplat.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        ["exemplars", "--model", "r1", "--trials", "0"],
+        ["enumerate", "--chain", "3", "--poset", "x"],
+        ["report", "nonsharp5", "--pretty"],
+        ["report", "nonsharp5", "--sharp"],
+    ],
+    ids=["rejected-trials", "rejected-exclusive", "pretty", "sharp-only"],
+)
+def test_parser_is_reused_safely(capsys, monkeypatch, fixtures_dir, first):
+    # main builds its parser once per process; a call, even one argparse
+    # rejects, leaves nothing behind for the next
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at this width
+    path = str(fixtures_dir / "nonsharp5.json")
+    first = [path if arg == "nonsharp5" else arg for arg in first]
+    golden = json.loads(
+        (fixtures_dir / "report_gallery.json").read_text(encoding="utf-8")
+    )
+    assert cli.build_parser() is cli.build_parser()
+    assert _in_process(capsys, first) == _fresh_process(first)
+    assert _in_process(capsys, ["report", path]) == (0, golden["nonsharp5"], "")
 
 
 def _relisted(doc, order):

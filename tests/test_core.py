@@ -61,6 +61,36 @@ def test_parse_canonicalizes_scrambled_order(nonsharp5):
     assert parse_lattice(scrambled) == nonsharp5
 
 
+def test_parse_checks_the_order_once(monkeypatch, nonsharp5):
+    # the raw relation is checked; its canonical copy is not checked again
+    from sharplat import core
+
+    checks = []
+
+    def counting(up, down):
+        checks.append(up)
+        return _check_partial_order(up, down)
+
+    monkeypatch.setattr(core, "_check_partial_order", counting)
+    doc = nonsharp5.serialize()
+    perm = [4, 2, 3, 1, 0]
+    scrambled = {
+        "elements": [doc["elements"][p] for p in perm],
+        "leq": [[doc["leq"][p][q] for q in perm] for p in perm],
+        "mult": [[perm.index(doc["mult"][p][q]) for q in perm] for p in perm],
+    }
+    posets = []
+    for parse in (parse_lattice, parse_poset):
+        checks.clear()
+        parsed = parse(scrambled)
+        assert checks == [_masks(scrambled["leq"])]
+        posets.append(parsed.poset if parse is parse_lattice else parsed)
+    built = FinitePoset(nonsharp5.names, nonsharp5.leq)
+    for poset in posets:
+        assert poset == built
+        assert (poset.joins, poset.meets) == (built.joins, built.meets)
+
+
 def test_round_trip_all_gallery():
     for L in all_gallery():
         assert parse_lattice(json.loads(L.to_json())) == L

@@ -1,12 +1,16 @@
 """Element/lattice predicates, sharpness, and the claim audit."""
 
+import gc
 import json
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharplat import cli, constructions, enumeration, gallery, parse_lattice, predicates
+from sharplat.core import FiniteMultLattice
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
     element_profile,
@@ -265,6 +269,16 @@ def test_factorization_witnesses_are_built_on_request(
     assert hash(report) == hash(sharpness_report(L))
 
 
+def test_residual_primality_matches_prime_witness(census_structures):
+    # the restricted-divides route decides primality from the residual
+    # table, apart from the element scan
+    for structures in census_structures.values():
+        for L in structures:
+            for p in range(L.top):
+                prime = predicates.prime_witness(L, p) is None
+                assert predicates._prime_by_residuals(L, p) == prime
+
+
 def test_four_way_agreement_on_censuses(census_structures):
     for structures in census_structures.values():
         for L in structures:
@@ -468,6 +482,85 @@ def test_prufer_iff_locally_totally_ordered(census_structures):
                 for m in prof.max_elements
             )
             assert prof.is_prufer == localized_chains
+
+
+# -- the report document ------------------------------------------------
+
+
+def _report_documents():
+    """Every gallery document and the valuation 16-chain."""
+    docs = dict(gallery.gallery_documents())
+    mult = [[max(i + j - 15, 0) for j in range(16)] for i in range(16)]
+    docs["valuation16"] = _chain_document(16, mult)
+    return docs
+
+
+def test_report_sections_equal_the_standalone_functions(census_structures):
+    # the shared analysis against the functions that scan alone
+    lattices = [parse_lattice(doc) for doc in _report_documents().values()]
+    lattices += [L for family in census_structures.values() for L in family]
+    for L in lattices:
+        doc = predicates.report(L)
+        assert doc["element_profiles"] == [
+            element_profile(L, x).to_dict() for x in L.elements()
+        ]
+        assert doc["profile"] == lattice_profile(L).to_dict()
+        assert doc["principal_monoid"] == principal_monoid(L).to_dict()
+        assert doc["audit"] == theorem_audit(L).to_dict()
+        assert predicates.report(L, ("audit",)) == {
+            "elements": doc["elements"], "audit": doc["audit"]
+        }
+
+
+class _Tracked(FiniteMultLattice):
+    """A lattice a weak reference can name; the base class has no
+    ``__weakref__`` slot."""
+
+    __slots__ = ("__weakref__",)
+
+
+_ELEMENT_SCANS = (
+    "_meet_principal_witness", "_join_principal_witness",
+    "prime_witness", "_maximal_witness",
+)
+
+
+def test_full_report_scans_each_element_once(monkeypatch, tmp_path, capsys):
+    # one full ``report`` runs each element scan once per element of the
+    # parsed lattice, and keeps nothing of it after the call
+    parsed = None
+
+    def parse(document):
+        nonlocal parsed
+        L = parse_lattice(document)
+        L = _Tracked(L.poset, L.mult, L.provenance)
+        parsed = weakref.ref(L)
+        return L
+
+    calls = Counter()
+    for name in _ELEMENT_SCANS:
+        scan = getattr(predicates, name)
+
+        def counting(L, x, scan=scan, name=name):
+            if parsed is not None and L is parsed():
+                calls[name, x] += 1
+            return scan(L, x)
+
+        # constructions binds prime_witness by name
+        for module in (predicates, constructions):
+            if getattr(module, name, None) is scan:
+                monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(cli, "parse_lattice", parse)
+    for key, doc in _report_documents().items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls.clear()
+        assert cli.main(["report", str(path)]) == 0
+        capsys.readouterr()
+        ids = range(len(doc["elements"]))
+        assert calls == {(name, x): 1 for name in _ELEMENT_SCANS for x in ids}, key
+        gc.collect()
+        assert parsed() is None, key
 
 
 # -- property-based spot checks ----------------------------------------
