@@ -119,24 +119,30 @@ def cmd_enumerate(args) -> int:
             reps = out.pop("representatives")
             out["representatives_files"] = _write_representatives(emit_dir, reps)
     else:
-        structures = list(enumeration.enumerate_structures(poset))
+        structures = enumeration.enumerate_structures(poset)
         if args.audit_each:
-            for L in structures:
-                enumeration.audit_structure(L)
+            structures = _audited(structures)
         out = {
             "poset": {
                 "elements": list(poset.names),
                 "leq": [[1 if v else 0 for v in row] for row in poset.leq],
             },
             "counting": "labeled",
-            "total_structures": len(structures),
         }
-        if emit_dir is not None:
-            out["representatives_files"] = _write_representatives(
-                emit_dir, [L.serialize() for L in structures]
-            )
+        if emit_dir is None:
+            out["total_structures"] = sum(1 for _ in structures)
+        else:
+            files = _write_representatives(emit_dir, (L.serialize() for L in structures))
+            out["total_structures"] = len(files)
+            out["representatives_files"] = files
     _emit(out, args.pretty)
     return EXIT_OK
+
+
+def _audited(structures):
+    for L in structures:
+        enumeration.audit_structure(L)
+        yield L
 
 
 def _write_representatives(directory: str, docs) -> list[str]:

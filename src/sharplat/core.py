@@ -199,13 +199,14 @@ class _Order:
 class FinitePoset(_Order):
     """A finite lattice-ordered carrier in canonical order.
 
-    ``names`` are distinct labels; ``leq`` is the full order relation.
+    ``names`` are distinct labels; ``leq`` is the full order relation;
+    ``up`` and ``down`` are each element's up-set and down-set masks.
     The constructor validates the partial-order and lattice axioms and
     requires canonical element order (bottom id 0, top id size-1,
     topological); the parsing helpers canonicalize raw input first.
     """
 
-    __slots__ = ("size", "names", "leq", "joins", "meets")
+    __slots__ = ("size", "names", "leq", "up", "down", "joins", "meets")
 
     def __init__(self, names: Iterable[str], leq) -> None:
         names = tuple(str(x) for x in names)
@@ -221,6 +222,7 @@ class FinitePoset(_Order):
         self.size = n
         self.names = names
         self.leq = leq
+        self.up, self.down = tuple(up), tuple(down)
         self.joins = _bound_table(up, "upper", "least")
         self.meets = _bound_table(down, "lower", "greatest")
         everything = (1 << n) - 1

@@ -1,16 +1,19 @@
 """Enumerate every multiplicative-lattice structure on a finite poset.
 
 The search fixes the forced cells (identity row, bottom row), walks the
-free cells (unordered pairs of interior elements, most-constrained
-first), bounds each candidate by xy <= x meet y, and checks each
-assignment incrementally: only the associativity and binary
-distributivity triples that read the new cell are examined, since every
-other determined triple was checked when its last cell was set.  Two
-indexes find those triples without scanning the table: the free cells
-that hold each value, kept exact on assign and unassign, and the pairs
-with each join, a poset constant.  Every leaf is re-validated from
+free cells (unordered pairs of interior elements) row-major, tries each
+cell's candidates in ascending order under the bound xy <= x meet y,
+and checks each assignment incrementally: only the associativity and
+binary distributivity triples that read the new cell are examined, since
+every other determined triple was checked when its last cell was set.
+Two indexes find those triples without scanning the table: the free
+cells that hold each value, kept exact on assign and unassign, and the
+pairs with each join, a poset constant.  Every leaf is re-validated from
 scratch by the core validator, so correctness never depends on the
-propagation being complete.
+propagation being complete.  The walk is row-major so that leaves
+arrive in ``flat_mult`` order: the table is symmetric with fixed forced
+cells, so the first free cell where two tables differ is the first
+position where their row-major tables differ.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import predicates
-from .core import FiniteMultLattice, FinitePoset
+from .core import FiniteMultLattice, FinitePoset, _bits
 from .errors import SharplatError, SizeTooSmall
 
 _MIDDLE_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -71,11 +74,9 @@ def diamond_poset(width: int) -> FinitePoset:
 
 
 def _free_cells(poset: FinitePoset) -> list[tuple[int, int]]:
-    """Unordered interior pairs, products of larger elements first."""
-    mids = range(1, poset.size - 1)
-    cells = [(i, j) for i in mids for j in mids if i <= j]
-    cells.sort(key=lambda c: (-c[0], -c[1]))
-    return cells
+    """Unordered interior pairs (i, j), i <= j, in row-major order."""
+    top = poset.size - 1
+    return [(i, j) for i in range(1, top) for j in range(i, top)]
 
 
 def _consistent(table, joins, holders, pairs_by_join, n, i, j) -> bool:
@@ -125,10 +126,10 @@ def _consistent(table, joins, holders, pairs_by_join, n, i, j) -> bool:
     return True
 
 
-def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
+def _search(poset: FinitePoset, cells):
+    """Yield the validated leaves of a depth-first walk over ``cells``."""
     n = poset.size
     top = n - 1
-    leq = poset.leq
     meets = poset.meets
     joins = poset.joins
     table: list[list[int | None]] = [[None] * n for _ in range(n)]
@@ -136,24 +137,21 @@ def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
         table[top][x] = table[x][top] = x
         table[0][x] = table[x][0] = 0
     holders: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    below = [[v for v in range(n) if leq[v][b]] for b in range(n)]
+    below = [list(_bits(d)) for d in poset.down]
     pairs_by_join = [
         [(x, y) for x in range(n) for y in range(x + 1, n) if joins[x][y] == b]
         for b in range(n)
     ]
-    found: list[FiniteMultLattice] = []
 
-    def leaf() -> None:
-        try:
-            found.append(FiniteMultLattice(poset, table))
-        except SharplatError:
-            # propagation admitted a bad table; the validator has the
-            # final word
-            pass
-
-    def backtrack(k: int) -> None:
+    def backtrack(k: int):
         if k == len(cells):
-            leaf()
+            try:
+                lattice = FiniteMultLattice(poset, table)
+            except SharplatError:
+                # propagation admitted a bad table; the validator has the
+                # final word
+                return
+            yield lattice
             return
         i, j = cells[k]
         cell = {(i, j), (j, i)}
@@ -161,25 +159,23 @@ def _search(poset: FinitePoset, cells) -> list[FiniteMultLattice]:
             table[i][j] = table[j][i] = v
             holders[v] |= cell
             if _consistent(table, joins, holders, pairs_by_join, n, i, j):
-                backtrack(k + 1)
+                yield from backtrack(k + 1)
             holders[v] -= cell
         table[i][j] = table[j][i] = None
 
-    backtrack(0)
-    return found
+    yield from backtrack(0)
 
 
 def enumerate_structures(poset: FinitePoset):
-    """Yield every multiplication table making ``poset`` a
+    """Lazily yield every multiplication table making ``poset`` a
     multiplicative lattice, exactly once, in lexicographic order of the
-    row-major table.  Every yielded lattice has passed full validation.
+    row-major table, each as the search reaches it: no list of them is
+    held.  Every yielded lattice has passed full validation.
 
     Each assignment is checked against only the associativity and
     distributivity triples that read the new cell.
     """
-    lattices = _search(poset, _free_cells(poset))
-    lattices.sort(key=FiniteMultLattice.flat_mult)
-    yield from lattices
+    yield from _search(poset, _free_cells(poset))
 
 
 def brute_force_structures(poset: FinitePoset) -> list[FiniteMultLattice]:
@@ -309,17 +305,11 @@ def audit_structure(L: FiniteMultLattice) -> None:
 
 
 def _canonical_key(L: FiniteMultLattice, autos) -> tuple[int, ...]:
-    n = L.size
-    best = None
+    ids = range(L.size)
+    keys = []
     for sigma in autos:
-        flat = []
-        inv = [0] * n
+        inv = [0] * L.size
         for i, img in enumerate(sigma):
             inv[img] = i
-        for i in range(n):
-            for j in range(n):
-                flat.append(sigma[L.mult[inv[i]][inv[j]]])
-        key = tuple(flat)
-        if best is None or key < best:
-            best = key
-    return best
+        keys.append(tuple(sigma[L.mult[inv[i]][inv[j]]] for i in ids for j in ids))
+    return min(keys)

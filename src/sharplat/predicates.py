@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import ElementId, FiniteMultLattice, _masks
+from .core import ElementId, FiniteMultLattice, _bits
 from .errors import ClaimFalsified, InternalEquivalenceViolation
 
 
@@ -368,12 +368,12 @@ class SharpnessReport:
 def _sharp_by_definition(L) -> bool:
     """The definition as a table check: for every b and every a1 a2 <= b
     there are b1 >= a1 and b2 >= a2 with b1 b2 = b.  Element sets are
-    bitmasks; reads only ``mult`` and ``leq``, in O(n^3)."""
+    bitmasks; reads ``mult`` and the poset's up-set and down-set masks,
+    in O(n^3)."""
     n = L.size
-    mult, leq = L.mult, L.leq
+    mult, down = L.mult, L.poset.down
     ids = range(n)
-    down = _masks(zip(*leq))
-    ups = [[y for y in ids if leq[x][y]] for x in ids]
+    ups = [list(_bits(u)) for u in L.poset.up]
     cover = [[0] * n for _ in ids]  # [b][b1]: a2 <= some b2 with b1 b2 = b
     need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 <= b
     for x, row in enumerate(mult):

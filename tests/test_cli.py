@@ -407,6 +407,44 @@ def test_enumerate_audit_each_reports_falsified_claim(capsys, monkeypatch, censu
     assert out["lattice"] == expected
 
 
+def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
+    capsys, monkeypatch, tmp_path
+):
+    # each representative is written as its structure arrives, so a claim
+    # falsified at the third structure leaves the first two files
+    from sharplat import enumeration
+    from sharplat.errors import ClaimFalsified
+
+    audited = []
+
+    def audit(L):
+        audited.append(L)
+        if len(audited) == 3:
+            exc = ClaimFalsified("forced", witness=(1,))
+            exc.lattice_document = L.serialize()
+            raise exc
+
+    monkeypatch.setattr(enumeration, "audit_structure", audit)
+    outdir = tmp_path / "reps"
+    code, out = run_json(
+        capsys,
+        "enumerate",
+        "--chain",
+        "4",
+        "--audit-each",
+        "--emit-representatives",
+        str(outdir),
+    )
+    assert code == 3
+    assert (out["error"], out["claim"], out["witness"]) == ("ClaimFalsified", "forced", [1])
+    assert out["lattice"] == audited[2].serialize()
+    names = ["structure_001.json", "structure_002.json"]
+    assert sorted(p.name for p in outdir.iterdir()) == names
+    for name, L in zip(names, audited):
+        text = (outdir / name).read_text(encoding="utf-8")
+        assert text == json.dumps(L.serialize(), indent=2) + "\n"
+
+
 def test_enumerate_size_too_small(capsys):
     code, out = run_json(capsys, "enumerate", "--chain", "1", "--census")
     assert code == 2

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from conftest import POSET_P, SPLIT5
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -545,6 +546,49 @@ def _scrambled(poset, seed):
         "elements": [poset.names[o] for o in order],
         "leq": [[int(poset.leq[a][b]) for b in order] for a in order],
     }
+
+
+def _assert_stored_masks(poset):
+    assert poset.up == tuple(_masks(poset.leq))
+    assert poset.down == tuple(_masks(zip(*poset.leq)))
+
+
+_MASK_POSETS = {
+    **{name: build().poset for name, build in gallery.BUILTINS.items()},
+    "split5": SPLIT5,
+    "P": POSET_P,
+    "chain64": enumeration.chain_poset(64),
+}
+
+
+@pytest.mark.parametrize("poset", _MASK_POSETS.values(), ids=_MASK_POSETS.keys())
+def test_poset_stores_its_masks(poset):
+    _assert_stored_masks(FinitePoset(poset.names, poset.leq))
+    for seed in range(3):
+        doc = _scrambled(poset, seed)
+        parsed, _ = FinitePoset.from_raw(doc["elements"], doc["leq"])
+        _assert_stored_masks(parsed)
+
+
+@st.composite
+def labelled_lattices(draw, ground=4):
+    """A random closure system on ``ground`` points (the whole set and a
+    family of subsets closed under intersection) ordered by inclusion,
+    in a random labelling: always a lattice, of at most 16 elements."""
+    full = (1 << ground) - 1
+    family = {full}
+    for s in draw(st.lists(st.integers(0, full), min_size=1, max_size=8)):
+        family |= {s & t for t in family}
+    sets = draw(st.permutations(sorted(family)))
+    return [str(s) for s in sets], [[a & b == a for b in sets] for a in sets]
+
+
+@settings(deadline=None)
+@given(lattice=labelled_lattices())
+def test_stored_masks_on_labelled_lattices(lattice):
+    parsed, _ = FinitePoset.from_raw(*lattice)
+    _assert_stored_masks(parsed)
+    _assert_stored_masks(FinitePoset(parsed.names, parsed.leq))
 
 
 def test_large_chain_and_product_tables():
