@@ -134,6 +134,16 @@ def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...
     return tuple(map(tuple, table))
 
 
+def _covers(masks: list[int], dual: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Lower covers from down-set ``masks`` and up-set ``dual``, upper
+    covers with the two swapped: the c in masks[b] - {b} for which
+    ``dual[c] & masks[b]`` holds just b and c, lowest id first."""
+    return tuple(
+        tuple(c for c in _bits(m & ~(1 << b)) if dual[c] & m == 1 << b | 1 << c)
+        for b, m in enumerate(masks)
+    )
+
+
 def canonical_permutation(down: list[int]) -> list[int]:
     """Stable topological order of a validated partial order given by
     its down-set masks: bottom first, top last, ties broken by input
@@ -200,13 +210,18 @@ class FinitePoset(_Order):
     """A finite lattice-ordered carrier in canonical order.
 
     ``names`` are distinct labels; ``leq`` is the full order relation;
-    ``up`` and ``down`` are each element's up-set and down-set masks.
+    ``up`` and ``down`` are each element's up-set and down-set masks,
+    ``lower_covers`` and ``upper_covers`` its neighbours in the Hasse
+    diagram, as tuples of ids in ascending order.
     The constructor validates the partial-order and lattice axioms and
     requires canonical element order (bottom id 0, top id size-1,
     topological); the parsing helpers canonicalize raw input first.
     """
 
-    __slots__ = ("size", "names", "leq", "up", "down", "joins", "meets")
+    __slots__ = (
+        "size", "names", "leq", "up", "down", "lower_covers", "upper_covers",
+        "joins", "meets",
+    )
 
     def __init__(self, names: Iterable[str], leq) -> None:
         names = tuple(str(x) for x in names)
@@ -216,13 +231,15 @@ class FinitePoset(_Order):
 
     def _set_order(self, names, leq, up, down) -> None:
         """Store a checked partial order on a carrier in canonical order,
-        given with its up-set and down-set masks, and build the join and
-        meet tables."""
+        given with its up-set and down-set masks, and build the covers
+        and the join and meet tables."""
         n = len(names)
         self.size = n
         self.names = names
         self.leq = leq
         self.up, self.down = tuple(up), tuple(down)
+        self.lower_covers = _covers(down, up)
+        self.upper_covers = _covers(up, down)
         self.joins = _bound_table(up, "upper", "least")
         self.meets = _bound_table(down, "lower", "greatest")
         everything = (1 << n) - 1
@@ -255,11 +272,9 @@ class FinitePoset(_Order):
         return poset, order
 
     def is_chain(self) -> bool:
-        return all(
-            self.leq[i][j] or self.leq[j][i]
-            for i in range(self.size)
-            for j in range(i)
-        )
+        # with at most one lower cover each, every down-set is a chain,
+        # and the top's is the whole carrier
+        return all(len(c) <= 1 for c in self.lower_covers)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """All order automorphisms, found by backtracking on ids."""
@@ -317,9 +332,16 @@ class FiniteMultLattice(_Order):
     ``a*0 = 0``), associativity, binary distributivity over joins, and
     the derived bound ``xy <= x meet y`` as an internal cross-check.
     In a finite lattice binary distributivity plus the bottom law is
-    equivalent to distributivity over arbitrary joins.  Associativity
-    and distributivity compare whole rows; only the first failing row
-    is searched, to name the least witness a triple scan would name.
+    equivalent to distributivity over arbitrary joins.
+
+    Once the first three laws hold, no row (x, y) with x or y in
+    {0, top} is the first to fail, so only interior rows are compared:
+    0 absorbs and top is the identity on either side, so associativity
+    and the derived bound hold there, and distributivity when a is 0
+    or top or b = 0 (a(0 v c) = ac = 0 v ac); a failure at (a, top, c)
+    is the law at (a, c, top), in the earlier row (a, c).  Only the
+    first failing row is searched, for the least witness the full
+    triple scan names.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -350,10 +372,10 @@ class FiniteMultLattice(_Order):
 
     def _validate(self) -> None:
         """Check the axioms in order, raising on the least witness.
-        Associativity and distributivity compare whole rows:
-        take[y](row_x) is the row z -> x(yz) and join_take[y](row_x) the
-        row z -> x(y v z).  Only a failing row is searched for its
-        least z; on the first failing distributivity row (a, b) that z
+        Commutativity is one compare with the transpose.  Associativity
+        and distributivity compare whole rows: take[y](row_x) is the row
+        z -> x(yz) and join_take[y](row_x) the row z -> x(y v z).  On
+        the first failing distributivity row (a, b) the least failing z
         exceeds b, since the law is symmetric in b and z and trivial at
         z = b, so it is the least triple (a, b, c) with b < c."""
         n = self.size
@@ -361,12 +383,10 @@ class FiniteMultLattice(_Order):
         joins = self.joins
         meets = self.meets
         top = n - 1
-        for x in range(n):
-            for y in range(x + 1, n):
-                if mult[x][y] != mult[y][x]:
-                    raise NotCommutative(
-                        f"{x}*{y} != {y}*{x}", witness=(x, y)
-                    )
+        if mult != tuple(zip(*mult)):
+            x, y = next((x, y) for x in range(n) for y in range(x + 1, n)
+                        if mult[x][y] != mult[y][x])
+            raise NotCommutative(f"{x}*{y} != {y}*{x}", witness=(x, y))
         for x in range(n):
             if mult[top][x] != x:
                 raise NoIdentity(f"top*{x} != {x}", witness=(x,))
@@ -375,12 +395,11 @@ class FiniteMultLattice(_Order):
                 raise NotDistributive(
                     f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
                 )
-        if n == 1:
-            # itemgetter of a single index returns a scalar, not a row
-            return
+        inner = range(1, top)  # empty below n = 3
         take = [itemgetter(*row) for row in mult]
-        for x, row_x in enumerate(mult):
-            for y, xy in enumerate(row_x):
+        for x, row_x in enumerate(mult[1:top], 1):
+            for y in inner:
+                xy = row_x[y]
                 if mult[xy] != take[y](row_x):
                     z = next(z for z in range(n)
                              if mult[xy][z] != row_x[mult[y][z]])
@@ -388,8 +407,9 @@ class FiniteMultLattice(_Order):
                         f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
                     )
         join_take = [itemgetter(*row) for row in joins]
-        for a, row_a in enumerate(mult):
-            for b, ab in enumerate(row_a):
+        for a, row_a in enumerate(mult[1:top], 1):
+            for b in inner:
+                ab = row_a[b]
                 if join_take[b](row_a) != take[a](joins[ab]):
                     c = next(c for c in range(n)
                              if row_a[joins[b][c]] != joins[ab][row_a[c]])
@@ -397,8 +417,8 @@ class FiniteMultLattice(_Order):
                         f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
                         witness=(a, b, c),
                     )
-        for x in range(n):
-            for y in range(n):
+        for x in inner:
+            for y in inner:
                 if not self.leq[mult[x][y]][meets[x][y]]:
                     raise InternalValidationFailure(
                         f"derived bound xy <= x^y fails at ({x}, {y})",

@@ -273,7 +273,8 @@ def census(
             sharp += 1
         if predicates.prime_witness(L, 0) is None:
             domains += 1
-        if all(predicates._is_principal(L, x) for x in L.elements()):
+        # bottom and top are principal in every multiplicative lattice
+        if all(predicates._is_principal(L, x) for x in range(1, L.top)):
             all_principal += 1
         if audit_each:
             audit_structure(L)

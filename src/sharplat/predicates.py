@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import ElementId, FiniteMultLattice, _bits
+from .core import ElementId, FiniteMultLattice
 from .errors import ClaimFalsified, InternalEquivalenceViolation
 
 
@@ -368,26 +368,33 @@ class SharpnessReport:
 def _sharp_by_definition(L) -> bool:
     """The definition as a table check: for every b and every a1 a2 <= b
     there are b1 >= a1 and b2 >= a2 with b1 b2 = b.  Element sets are
-    bitmasks; reads ``mult`` and the poset's up-set and down-set masks,
-    in O(n^3)."""
+    bitmasks, each built from its neighbours' along the covers in
+    O(n^2 * covers): ``need`` from the lower covers of b, ``reach``
+    from the upper covers of a1.  Reads ``mult`` and the poset's
+    down-set masks and covers, never the residual table the other
+    three routes read."""
     n = L.size
-    mult, down = L.mult, L.poset.down
+    mult, poset = L.mult, L.poset
+    down, lower, upper = poset.down, poset.lower_covers, poset.upper_covers
     ids = range(n)
-    ups = [list(_bits(u)) for u in L.poset.up]
     cover = [[0] * n for _ in ids]  # [b][b1]: a2 <= some b2 with b1 b2 = b
-    need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 <= b
+    need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 = b, then <= b
     for x, row in enumerate(mult):
         for y, xy in enumerate(row):
             cover[xy][x] |= down[y]
-            for b in ups[xy]:
-                need[b][x] |= 1 << y
+            need[xy][x] |= 1 << y
+    for b, cs in enumerate(lower):  # ascending ids: lower covers first
+        for c in cs:
+            need[b] = [u | v for u, v in zip(need[b], need[c])]
     for cb, nb in zip(cover, need):
-        for a1 in ids:
-            reach = 0  # a2 <= some b2 with b1 b2 = b, b1 >= a1
-            for b1 in ups[a1]:
-                reach |= cb[b1]
-            if nb[a1] & ~reach:
+        reach = [0] * n  # [a1]: a2 <= some b2 with b1 b2 = b, b1 >= a1
+        for a1 in reversed(ids):  # upper covers first
+            r = cb[a1]
+            for c in upper[a1]:
+                r |= reach[c]
+            if nb[a1] & ~r:
                 return False
+            reach[a1] = r
     return True
 
 

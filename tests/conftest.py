@@ -77,3 +77,9 @@ def census_structures():
         )
     out["split5"] = list(enumeration.enumerate_structures(SPLIT5))
     return out
+
+
+@pytest.fixture(scope="session")
+def poset_p_structures():
+    """The 442 structures on poset P, enumerated once per session."""
+    return list(enumeration.enumerate_structures(POSET_P))

@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import POSET_P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -346,6 +347,19 @@ def test_enumerate_census_matches_golden_file(capsys, fixtures_dir):
     code, out = run(capsys, "enumerate", "--chain", "5", "--census")
     assert code == 0
     golden = (fixtures_dir / "census_chain5.json").read_text(encoding="utf-8")
+    assert out == golden
+
+
+def test_enumerate_poset_p_census_matches_golden_file(capsys, fixtures_dir, tmp_path):
+    # 442 / 65 / 0 / 0, 268 up to automorphism: the non-chain census
+    path = tmp_path / "poset_p.json"
+    leq = [[int(v) for v in row] for row in POSET_P.leq]
+    path.write_text(
+        json.dumps({"elements": list(POSET_P.names), "leq": leq}), encoding="utf-8"
+    )
+    code, out = run(capsys, "enumerate", "--poset", str(path), "--census", "--distinct")
+    assert code == 0
+    golden = (fixtures_dir / "census_poset_p.json").read_text(encoding="utf-8")
     assert out == golden
 
 

@@ -44,9 +44,12 @@ def test_nonsharp5_maximal(nonsharp5):
     assert element_profile(nonsharp5, c).is_maximal
 
 
-def test_identity_and_bottom_always_principal():
-    for build in gallery.BUILTINS.values():
-        L = build()
+def test_identity_and_bottom_always_principal(census_structures, poset_p_structures):
+    # the census's all-principal count relies on this and skips both
+    lattices = [build() for build in gallery.BUILTINS.values()]
+    for structures in (*census_structures.values(), poset_p_structures):
+        lattices += structures
+    for L in lattices:
         assert element_profile(L, L.top).is_principal
         assert element_profile(L, 0).is_principal
 
@@ -205,9 +208,21 @@ def _product(A, B):
     })
 
 
-def test_table_definition_route_matches_full_scan(census_structures):
+def _without_residuals(L):
+    """A copy of L with no residual table: reading it raises."""
+    twin = FiniteMultLattice.__new__(FiniteMultLattice)
+    for slot in FiniteMultLattice.__slots__:
+        if slot != "residuals":
+            setattr(twin, slot, getattr(L, slot))
+    return twin
+
+
+def test_table_definition_route_matches_full_scan(
+    census_structures, poset_p_structures
+):
     # the bitmask route and the full factorization scan decide the
-    # definition independently; they must agree everywhere
+    # definition independently; they must agree everywhere, and the
+    # route never reads the residual table the other three routes read
     chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
     larger = [
         _valuation_chain(8),
@@ -216,15 +231,16 @@ def test_table_definition_route_matches_full_scan(census_structures):
         _product(_valuation_chain(4), _valuation_chain(3)),
         _product(gallery.nonsharp5(), gallery.chain3_nil()),
     ]
-    groups = [*census_structures.values(), chain7, larger]
+    groups = [*census_structures.values(), chain7, poset_p_structures, larger]
     sharp = not_sharp = 0
     for structures in groups:
         for L in structures:
-            by_table = predicates._sharp_by_definition(L)
+            by_table = predicates._sharp_by_definition(_without_residuals(L))
             assert by_table == bool(factorization_witnesses(L))
             sharp += by_table
             not_sharp += not by_table
     assert sharp > 0 and not_sharp > 0
+    assert sum(map(predicates._sharp_by_definition, poset_p_structures)) == 65
     assert [predicates._sharp_by_definition(L) for L in larger] == [
         True, True, False, True, False
     ]
