@@ -8,9 +8,9 @@ Three symbolic families, all immutable and exact:
   written multiplicatively as exponents (0 is the top/identity,
   ``INFINITE`` marks the bottom).
 * ``R1Element``: the interval family [r, inf] / (r, inf] / {inf} with
-  exact rational endpoints r >= 0, ordered by inclusion.  Rational
-  endpoints keep the residual arithmetic exact; the family is closed
-  under every implemented operation.
+  exact rational endpoints r >= 0, ordered by inclusion.  Endpoints
+  are stored as int pairs in lowest terms, so the operations run on
+  exact ints; the family is closed under every implemented operation.
 * ``FGIdeal``: a finitely generated ideal of the multiplicative monoid
   of nonnegative integers, stored as its divisibility-minimal generator
   set (which is unique); the empty set encodes the zero ideal.
@@ -68,15 +68,13 @@ Z_BOTTOM = _z(INFINITE)
 
 def z_le(a: ZMinusElement, b: ZMinusElement) -> bool:
     """Order reverses exponents: m^j <= m^k iff j >= k."""
-    if a.exponent is INFINITE:
-        return True
-    return b.exponent is not INFINITE and a.exponent >= b.exponent
+    x, y = a.exponent, b.exponent
+    return x is INFINITE or (y is not INFINITE and x >= y)
 
 
 def z_mult(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
-    if a.exponent is INFINITE or b.exponent is INFINITE:
-        return Z_BOTTOM
-    return _z(a.exponent + b.exponent)
+    x, y = a.exponent, b.exponent
+    return Z_BOTTOM if x is INFINITE or y is INFINITE else _z(x + y)
 
 
 def z_join(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
@@ -91,11 +89,12 @@ def z_residual(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
     """Largest x with x*b <= a: exponent max(exp(a) - exp(b), 0);
     dividing by the bottom gives the top, and (bottom : finite) is
     the bottom."""
-    if b.exponent is INFINITE:
+    x, y = a.exponent, b.exponent
+    if y is INFINITE:
         return Z_TOP
-    if a.exponent is INFINITE:
+    if x is INFINITE:
         return Z_BOTTOM
-    return _z(max(a.exponent - b.exponent, 0))
+    return Z_TOP if x <= y else _z(x - y)
 
 
 # -- the real-valued interval chain ------------------------------------
@@ -105,24 +104,35 @@ _OPEN = "open"
 _ZERO = "zero"
 
 
-@dataclass(frozen=True)
 class R1Element:
     """One of [r, inf] (closed), (r, inf] (open) or {inf} (zero), with
     an exact rational endpoint r >= 0.  closed(0) is the top and the
-    multiplicative identity; zero is the bottom."""
+    multiplicative identity; zero is the bottom.  ``endpoint`` builds
+    its Fraction when read."""
 
-    kind: str
-    endpoint: Fraction | None
+    # the endpoint as _num/_den in lowest terms, _den > 0; zero keeps 0/1
+    __slots__ = ("kind", "_num", "_den")
 
-    def __post_init__(self):
-        if self.kind == _ZERO:
-            if self.endpoint is not None:
+    def __new__(cls, kind: str, endpoint: Fraction | None):
+        if kind == _ZERO:
+            if endpoint is not None:
                 raise NotInModel("the bottom has no endpoint")
-            return
-        if self.kind not in (_CLOSED, _OPEN):
-            raise NotInModel(f"unknown kind {self.kind!r}")
-        if not isinstance(self.endpoint, Fraction) or self.endpoint.numerator < 0:
+            return _r1(_ZERO, 0, 1)
+        if kind not in (_CLOSED, _OPEN):
+            raise NotInModel(f"unknown kind {kind!r}")
+        if not isinstance(endpoint, Fraction):
             raise NotInModel("endpoint must be a nonnegative Fraction")
+        return _r1(kind, endpoint.numerator, endpoint.denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"R1Element is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return (R1Element, (self.kind, self.endpoint))
+
+    @property
+    def endpoint(self) -> Fraction | None:
+        return None if self.kind == _ZERO else Fraction(self._num, self._den)
 
     @classmethod
     def closed(cls, r) -> "R1Element":
@@ -139,6 +149,14 @@ class R1Element:
     def is_zero(self) -> bool:
         return self.kind == _ZERO
 
+    def __eq__(self, other):
+        if other.__class__ is not R1Element:
+            return NotImplemented
+        return self.kind == other.kind and self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((self.kind, self._num, self._den))
+
     def __repr__(self) -> str:
         if self.kind == _ZERO:
             return "R1{inf}"
@@ -146,15 +164,25 @@ class R1Element:
         return f"R1{left}{self.endpoint},inf]"
 
 
+# the slots' own setters, which get past the immutable __setattr__
+_set_kind, _set_num, _set_den = (getattr(R1Element, n).__set__ for n in R1Element.__slots__)
+
+
+def _r1(kind: str, num: int, den: int) -> R1Element:
+    """The element of this kind with endpoint num/den (den > 0), reduced
+    by gcd; every constructor ends here, so each element is checked."""
+    if num < 0:
+        raise NotInModel("endpoint must be a nonnegative Fraction")
+    g = gcd(num, den)
+    x = object.__new__(R1Element)
+    _set_kind(x, kind)
+    _set_num(x, num // g)
+    _set_den(x, den // g)
+    return x
+
+
 R1_TOP = R1Element.closed(0)
 R1_ZERO = R1Element.zero()
-
-
-def _r1_cmp(a: R1Element, b: R1Element) -> int:
-    """An integer with the sign of endpoint(a) - endpoint(b), by cross-
-    multiplication (denominators are positive)."""
-    p, q = a.endpoint, b.endpoint
-    return p.numerator * q.denominator - q.numerator * p.denominator
 
 
 def r1_le(a: R1Element, b: R1Element) -> bool:
@@ -163,9 +191,11 @@ def r1_le(a: R1Element, b: R1Element) -> bool:
         return True
     if b.kind == _ZERO:
         return False
+    # the sign of endpoint(a) - endpoint(b), by cross-multiplication
+    d = a._num * b._den - b._num * a._den
     if b.kind == _CLOSED or a.kind == _OPEN:
-        return _r1_cmp(a, b) >= 0
-    return _r1_cmp(a, b) > 0  # closed inside open needs a strict step
+        return d >= 0
+    return d > 0  # closed inside open needs a strict step
 
 
 def r1_mult(a: R1Element, b: R1Element) -> R1Element:
@@ -174,7 +204,7 @@ def r1_mult(a: R1Element, b: R1Element) -> R1Element:
     if a.kind == _ZERO or b.kind == _ZERO:
         return R1_ZERO
     kind = _CLOSED if (a.kind == _CLOSED and b.kind == _CLOSED) else _OPEN
-    return R1Element(kind, a.endpoint + b.endpoint)
+    return _r1(kind, a._num * b._den + b._num * a._den, a._den * b._den)
 
 
 def r1_join(a: R1Element, b: R1Element) -> R1Element:
@@ -199,25 +229,14 @@ def r1_residual(a: R1Element, b: R1Element) -> R1Element:
         return R1_TOP
     if a.kind == _ZERO:
         return R1_ZERO
-    d = _r1_cmp(a, b)
+    # endpoint(a) - endpoint(b) == d / (a._den * b._den)
+    d = a._num * b._den - b._num * a._den
     if a.kind == _OPEN and b.kind == _CLOSED:
-        if d < 0:
-            return R1_TOP
-        return R1Element(_OPEN, a.endpoint - b.endpoint)
-    if d <= 0:
-        return R1_TOP
-    return R1Element(_CLOSED, a.endpoint - b.endpoint)
+        return R1_TOP if d < 0 else _r1(_OPEN, d, a._den * b._den)
+    return R1_TOP if d <= 0 else _r1(_CLOSED, d, a._den * b._den)
 
 
 # -- finitely generated monoid ideals ----------------------------------
-
-
-def _minimize(gens: set[int]) -> frozenset[int]:
-    return frozenset(
-        g
-        for g in gens
-        if not any(h != g and g % h == 0 for h in gens)
-    )
 
 
 @dataclass(frozen=True)
@@ -230,11 +249,12 @@ class FGIdeal:
     generators: frozenset[int]
 
     def __post_init__(self):
-        for g in self.generators:
-            if not isinstance(g, int) or g < 1:
+        gens = self.generators
+        for g in gens:
+            if isinstance(g, bool) or not isinstance(g, int) or g < 1:
                 raise NotInModel("generators must be positive integers")
-        minimal = _minimize(set(self.generators))
-        if minimal != self.generators:
+        minimal = frozenset(g for g in gens if not any(h != g and g % h == 0 for h in gens))
+        if minimal != gens:
             object.__setattr__(self, "generators", minimal)
 
     @classmethod
@@ -253,7 +273,7 @@ UNIT_IDEAL = FGIdeal.of(1)
 
 
 def ideal_member(a: FGIdeal, n: int) -> bool:
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise NotInModel("membership is defined for positive integers")
     return any(n % g == 0 for g in a.generators)
 
@@ -403,9 +423,9 @@ def zminus_selftest(max_exponent: int = 100) -> dict:
 def _r1_random_element(rng: random.Random) -> R1Element:
     if rng.randrange(40) == 0:
         return R1_ZERO
-    endpoint = Fraction(rng.randrange(0, 2000), rng.randrange(1, 60))
+    num, den = rng.randrange(0, 2000), rng.randrange(1, 60)
     kind = _CLOSED if rng.randrange(2) == 0 else _OPEN
-    return R1Element(kind, endpoint)
+    return _r1(kind, num, den)
 
 
 def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
@@ -413,12 +433,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
     sharpness identity, residual soundness and maximality step, order
     compatibility."""
     rng = random.Random(seed)
-    kinds = [
-        (_CLOSED, _CLOSED),
-        (_OPEN, _OPEN),
-        (_CLOSED, _OPEN),
-        (_OPEN, _CLOSED),
-    ]
+    kinds = [(_CLOSED, _CLOSED), (_OPEN, _OPEN), (_CLOSED, _OPEN), (_OPEN, _CLOSED)]
     failures = []
     combos = {k: 0 for k in kinds}
     for t in range(trials):
@@ -428,20 +443,19 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
         else:
             ka, kb = kinds[t % 4]
             combos[(ka, kb)] += 1
-            a = R1Element(ka, Fraction(rng.randrange(0, 2000), rng.randrange(1, 60)))
-            b = R1Element(kb, Fraction(rng.randrange(0, 2000), rng.randrange(1, 60)))
+            a = _r1(ka, rng.randrange(0, 2000), rng.randrange(1, 60))
+            b = _r1(kb, rng.randrange(0, 2000), rng.randrange(1, 60))
         r = r1_residual(a, b)
         if not r1_le(r1_mult(r, b), a):
             failures.append(("residual_bound", repr(a), repr(b)))
             continue
         if r1_mult(r1_residual(a, r), r) != a:
             failures.append(("sharp_identity", repr(a), repr(b)))
-        if not a.is_zero() and not r.is_zero() and r != R1_TOP:
-            # the next element up must overshoot: with x > r, x*b <= a fails
-            if r.kind == _OPEN:
-                bigger = R1Element(_CLOSED, r.endpoint)
-                if r1_le(r1_mult(bigger, b), a):
-                    failures.append(("residual_maximality", repr(a), repr(b)))
+        # just above an open r (never top or zero), x*b <= a must fail
+        if r.kind == _OPEN and not a.is_zero():
+            bigger = _r1(_CLOSED, r._num, r._den)
+            if r1_le(r1_mult(bigger, b), a):
+                failures.append(("residual_maximality", repr(a), repr(b)))
     return {
         "model": "r1",
         "trials": trials,

@@ -1,6 +1,8 @@
 """The exact exemplar models: valuation chains and monoid ideals."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -234,6 +236,55 @@ def test_r1_element_validation():
     _rejects(R1Element, "closed", None)
     _rejects(R1Element, "interval", Fraction(1))
     _rejects(R1Element, "zero", Fraction(0))
+    _rejects(R1Element.open, Fraction(-1, 3))
+    _rejects(R1Element, "open", 1)  # an endpoint must be a Fraction
+    _rejects(exemplars._r1, "closed", -2, 3)  # the int constructor checks too
+
+
+def test_r1_element_is_immutable():
+    x = R1Element.open(Fraction(7, 3))
+    for name, value in (("kind", "closed"), ("endpoint", Fraction(1)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x == R1Element.open(Fraction(7, 3))
+
+
+def test_r1_endpoint_reads_back_in_lowest_terms():
+    x = R1Element.closed(Fraction(2, 4))
+    assert x.endpoint == Fraction(1, 2)
+    assert isinstance(x.endpoint, Fraction)
+    assert x == R1Element.closed(Fraction(1, 2))
+    assert R1_ZERO.endpoint is None
+    assert R1_TOP.endpoint == 0
+
+
+@pytest.mark.parametrize(
+    "element,text",
+    [
+        (R1Element.closed(Fraction(7, 3)), "R1[7/3,inf]"),
+        (R1Element.open(0), "R1(0,inf]"),
+        (R1Element.open(Fraction(10, 4)), "R1(5/2,inf]"),
+        (R1Element.closed(12), "R1[12,inf]"),
+        (R1_TOP, "R1[0,inf]"),
+        (R1_ZERO, "R1{inf}"),
+    ],
+)
+def test_r1_repr_table(element, text):
+    assert repr(element) == text
+
+
+def test_r1_equality_with_other_objects_is_false():
+    x = R1Element.closed(1)
+    for other in (("closed", 1, 1), ("closed", Fraction(1)), "R1[1,inf]", 1, Fraction(1), None):
+        assert (x == other) is False
+        assert x != other
+    assert (R1_ZERO == None) is False  # noqa: E711
+
+
+def test_r1_copies_and_pickles_to_equal_elements():
+    for x in (R1Element.closed(Fraction(7, 3)), R1Element.open(0), R1_ZERO):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
 
 
 _fractions = st.fractions(min_value=0, max_value=50)
@@ -268,6 +319,14 @@ def _r1_le_by_fractions(a, b):
     return a.endpoint > b.endpoint
 
 
+def _r1_mult_by_fractions(a, b):
+    """The reference product, by Fraction addition."""
+    if a.is_zero() or b.is_zero():
+        return R1_ZERO
+    kind = "closed" if a.kind == b.kind == "closed" else "open"
+    return R1Element(kind, a.endpoint + b.endpoint)
+
+
 def _r1_residual_by_fractions(a, b):
     """The reference residual, with a Fraction clamp."""
     if b.is_zero():
@@ -280,13 +339,53 @@ def _r1_residual_by_fractions(a, b):
     return R1Element.closed(max(d, Fraction(0)))
 
 
+def _assert_canonical(x):
+    """x equals, and hashes like, the element rebuilt from its Fraction
+    endpoint: so its stored endpoint is in lowest terms."""
+    if not x.is_zero():
+        assert isinstance(x.endpoint, Fraction)
+        assert math.gcd(x.endpoint.numerator, x.endpoint.denominator) == 1
+    rebuilt = R1Element(x.kind, x.endpoint)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
 @settings(max_examples=400, deadline=None)
 @given(a=_r1_elements, b=_r1_elements, same_endpoint=st.booleans())
 def test_r1_integer_comparisons_match_fraction_comparisons(a, b, same_endpoint):
+    # the int kernel against the Fraction references, on every operation
     if same_endpoint and not a.is_zero() and not b.is_zero():
         b = R1Element(b.kind, a.endpoint)
-    assert r1_le(a, b) == _r1_le_by_fractions(a, b)
-    assert r1_residual(a, b) == _r1_residual_by_fractions(a, b)
+    le = _r1_le_by_fractions
+    cases = [
+        (r1_mult(a, b), _r1_mult_by_fractions(a, b)),
+        (r1_residual(a, b), _r1_residual_by_fractions(a, b)),
+        (r1_join(a, b), a if le(b, a) else b),
+        (r1_meet(a, b), a if le(a, b) else b),
+    ]
+    for got, expected in cases:
+        assert got == expected and hash(got) == hash(expected)
+        _assert_canonical(got)
+    assert r1_le(a, b) == le(a, b)
+    assert r1_mult(a, b) == r1_mult(b, a)
+
+
+def test_r1_equal_values_from_different_routes_deduplicate():
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    cl, op = R1Element.closed, R1Element.open
+    routes = [
+        r1_mult(cl(third), cl(two_thirds)),
+        cl(1),
+        cl(Fraction(6, 6)),
+        r1_residual(cl(Fraction(5, 2)), cl(Fraction(3, 2))),
+        r1_residual(op(Fraction(7, 4)), op(Fraction(3, 4))),
+        r1_mult(R1_TOP, cl(Fraction(4, 4))),
+    ]
+    assert len(set(routes)) == 1
+    assert len({hash(x) for x in routes}) == 1
+    assert all(x == routes[0] for x in routes)
+    _assert_canonical(routes[0])
+    opens = {r1_mult(op(third), cl(two_thirds)), op(1), r1_mult(cl(third), op(two_thirds))}
+    assert len(opens) == 1 and opens != set(routes)
 
 
 def test_r1_integer_comparisons_on_equal_endpoints_and_zero():
@@ -297,6 +396,50 @@ def test_r1_integer_comparisons_on_equal_endpoints_and_zero():
         for b in samples:
             assert r1_le(a, b) == _r1_le_by_fractions(a, b), (a, b)
             assert r1_residual(a, b) == _r1_residual_by_fractions(a, b), (a, b)
+            assert r1_mult(a, b) == _r1_mult_by_fractions(a, b), (a, b)
+
+
+def test_r1_selftest_catches_a_closed_residual_where_open_is_due(monkeypatch):
+    # (open : closed) must be open.  A closed answer times the closed
+    # divisor lands on a's endpoint, outside the open dividend, and the
+    # second residual (a : r) of an open a goes wrong the same way
+    exact = exemplars.r1_residual
+    calls = []
+
+    def closed_for_open(a, b):
+        calls.append((a, b))
+        r = exact(a, b)
+        return R1Element.closed(r.endpoint) if r.kind == "open" else r
+
+    monkeypatch.setattr(exemplars, "r1_residual", closed_for_open)
+    report = r1_selftest(trials=400, seed=1)
+    assert calls
+    assert report["failures"] > 0
+    witnesses = report["witnesses"]
+    assert {label for label, _, _ in witnesses} == {"residual_bound", "sharp_identity"}
+    assert all(a.startswith("R1(") for _, a, _ in witnesses)  # open dividends only
+    # the first law to break on an open-by-closed pair is r*b <= a
+    assert all(b.startswith("R1[") for label, _, b in witnesses if label == "residual_bound")
+
+
+def test_r1_selftest_catches_a_closed_product_of_an_open_factor(monkeypatch):
+    # a product with an open factor is open; closing it lets r*b reach
+    # the endpoint of an open dividend, and (a:(a:b)) (a:b) land on it
+    exact = exemplars.r1_mult
+    calls = []
+
+    def always_closed(a, b):
+        calls.append((a, b))
+        p = exact(a, b)
+        return R1Element.closed(p.endpoint) if p.kind == "open" else p
+
+    monkeypatch.setattr(exemplars, "r1_mult", always_closed)
+    report = r1_selftest(trials=400, seed=1)
+    assert calls
+    assert report["failures"] > 0
+    witnesses = report["witnesses"]
+    assert {label for label, _, _ in witnesses} == {"residual_bound", "sharp_identity"}
+    assert all(a.startswith("R1(") for _, a, _ in witnesses)  # open dividends only
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,6 +469,19 @@ def test_minimal_generating_sets():
     _rejects(FGIdeal.of, 0)
     _rejects(FGIdeal.of, -3)
     _rejects(ideal_member, UNIT_IDEAL, 0)
+
+
+def test_ideal_validation_rejects_bools_and_non_integers():
+    # True == 1 as an int, so a bool generator would pass for the unit
+    # ideal; like ZMinusElement(True), the models reject it
+    _rejects(FGIdeal.of, True)
+    _rejects(FGIdeal.of, 2, False)
+    _rejects(FGIdeal.of, 2.0)
+    _rejects(FGIdeal, frozenset({True, 3}))
+    _rejects(ideal_member, UNIT_IDEAL, True)
+    _rejects(ideal_member, FGIdeal.of(2), 4.0)
+    assert FGIdeal.of(1) == UNIT_IDEAL
+    assert ideal_member(FGIdeal.of(2), 4) and not ideal_member(FGIdeal.of(2), 3)
 
 
 def test_ideal_product_example():
