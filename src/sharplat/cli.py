@@ -45,22 +45,7 @@ def _witness(exc: SharplatError):
 
 
 def _read_document(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _InputFailure({"valid": False, "stage": "io", "detail": str(exc)})
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputFailure(
-            {"valid": False, "stage": "schema", "detail": f"not valid JSON: {exc}"}
-        )
-
-
-class _InputFailure(Exception):
-    def __init__(self, payload: dict):
-        super().__init__(payload.get("detail", "invalid input"))
-        self.payload = payload
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_validate(args) -> int:
@@ -106,56 +91,36 @@ def cmd_enumerate(args) -> int:
         poset = enumeration.chain_poset(args.chain)
     else:
         poset = parse_poset(_read_document(args.poset))
-    emit_dir = args.emit_representatives
+    structures = enumeration.enumerate_structures(poset)
+    if args.audit_each:
+        structures = enumeration.audited(structures)
+    files = None
+    if args.emit_representatives is not None:
+        files = []
+        structures = _write_representatives(args.emit_representatives, structures, files)
     if args.census:
-        result = enumeration.census(
-            poset,
-            keep_representatives=emit_dir is not None,
-            audit_each=args.audit_each,
-            distinct_up_to_auto=args.distinct,
-        )
-        out = result.to_dict()
-        if emit_dir is not None:
-            reps = out.pop("representatives")
-            out["representatives_files"] = _write_representatives(emit_dir, reps)
+        out = enumeration.census(poset, args.distinct, structures).to_dict()
     else:
-        structures = enumeration.enumerate_structures(poset)
-        if args.audit_each:
-            structures = _audited(structures)
-        out = {
-            "poset": {
-                "elements": list(poset.names),
-                "leq": [[1 if v else 0 for v in row] for row in poset.leq],
-            },
-            "counting": "labeled",
-        }
-        if emit_dir is None:
-            out["total_structures"] = sum(1 for _ in structures)
-        else:
-            files = _write_representatives(emit_dir, (L.serialize() for L in structures))
-            out["total_structures"] = len(files)
-            out["representatives_files"] = files
+        out = enumeration.poset_header(poset.names, poset.leq)
+        out["total_structures"] = sum(1 for _ in structures)
+    if files is not None:
+        out["representatives_files"] = files
     _emit(out, args.pretty)
     return EXIT_OK
 
 
-def _audited(structures):
-    for L in structures:
-        enumeration.audit_structure(L)
-        yield L
-
-
-def _write_representatives(directory: str, docs) -> list[str]:
+def _write_representatives(directory: str, structures, names: list[str]):
+    """Pass ``structures`` through, writing each one's document to
+    ``directory`` as it arrives and appending the file name to ``names``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for k, doc in enumerate(docs, start=1):
+    for k, L in enumerate(structures, start=1):
         name = f"structure_{k:03d}.json"
         (directory / name).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
+            json.dumps(L.serialize(), indent=2) + "\n", encoding="utf-8"
         )
         names.append(name)
-    return names
+        yield L
 
 
 _DEFAULT_TRIALS = {"zminus": 100, "r1": 1000, "nideal": 200}
@@ -256,8 +221,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputFailure as exc:
-        _emit(exc.payload, args.pretty)
+    except json.JSONDecodeError as exc:
+        detail = f"not valid JSON: {exc}"
+        _emit({"valid": False, "stage": "schema", "detail": detail}, args.pretty)
+        return EXIT_INVALID_INPUT
+    except OSError as exc:
+        _emit({"valid": False, "stage": "io", "detail": str(exc)}, args.pretty)
         return EXIT_INVALID_INPUT
     except ClaimFalsified as exc:
         _emit(

@@ -213,6 +213,18 @@ def brute_force_structures(poset: FinitePoset) -> list[FiniteMultLattice]:
     return out
 
 
+def poset_header(elements, leq) -> dict:
+    """The ``"poset"`` and ``"counting"`` keys that every ``enumerate``
+    document starts with."""
+    return {
+        "poset": {
+            "elements": list(elements),
+            "leq": [[1 if v else 0 for v in row] for row in leq],
+        },
+        "counting": "labeled",
+    }
+
+
 @dataclass(frozen=True)
 class Census:
     """Aggregate counts over all structures on one poset.
@@ -228,16 +240,11 @@ class Census:
     sharp: int
     domains: int
     all_principal: int
-    representatives: tuple[dict, ...] | None = None
     distinct_up_to_automorphism: int | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "poset": {
-                "elements": list(self.elements),
-                "leq": [list(row) for row in self.leq],
-            },
-            "counting": "labeled",
+        out = {
+            **poset_header(self.elements, self.leq),
             "total_structures": self.total,
             "sharp_count": self.sharp,
             "domain_count": self.domains,
@@ -245,28 +252,26 @@ class Census:
         }
         if self.distinct_up_to_automorphism is not None:
             out["distinct_up_to_automorphism"] = self.distinct_up_to_automorphism
-        if self.representatives is not None:
-            out["representatives"] = list(self.representatives)
         return out
 
 
 def census(
-    poset: FinitePoset,
-    keep_representatives: bool = False,
-    audit_each: bool = False,
-    distinct_up_to_auto: bool = False,
+    poset: FinitePoset, distinct_up_to_auto: bool = False, structures=None
 ) -> Census:
-    """Enumerate and classify every structure on ``poset``.
-
-    ``audit_each`` runs the claim audit on every structure and lets a
-    ClaimFalsified propagate (the census cannot finish on a falsifying
-    instance).  Deterministic for a fixed poset.
+    """Classify every structure of ``structures``, a stream of the
+    structures on ``poset`` (by default ``enumerate_structures(poset)``),
+    consuming it once.  Deterministic for a fixed poset.
     """
+    if structures is None:
+        structures = enumerate_structures(poset)
     total = sharp = domains = all_principal = 0
-    reps: list[dict] = []
     canon: set[tuple[int, ...]] = set()
-    autos = poset.automorphisms() if distinct_up_to_auto else None
-    for L in enumerate_structures(poset):
+    autos = None
+    if distinct_up_to_auto:
+        # each automorphism with its inverse, built once per census
+        ids = range(poset.size)
+        autos = [(s, sorted(ids, key=s.__getitem__)) for s in poset.automorphisms()]
+    for L in structures:
         total += 1
         report = predicates.sharpness_report(L)
         if report.is_sharp:
@@ -276,10 +281,6 @@ def census(
         # bottom and top are principal in every multiplicative lattice
         if all(predicates._is_principal(L, x) for x in range(1, L.top)):
             all_principal += 1
-        if audit_each:
-            audit_structure(L)
-        if keep_representatives:
-            reps.append(L.serialize())
         if autos is not None:
             canon.add(_canonical_key(L, autos))
     return Census(
@@ -289,7 +290,6 @@ def census(
         sharp=sharp,
         domains=domains,
         all_principal=all_principal,
-        representatives=tuple(reps) if keep_representatives else None,
         distinct_up_to_automorphism=len(canon) if autos is not None else None,
     )
 
@@ -305,12 +305,18 @@ def audit_structure(L: FiniteMultLattice) -> None:
         raise
 
 
+def audited(structures):
+    """Pass ``structures`` through, auditing each one as it arrives: the
+    first falsified claim stops the stream."""
+    for L in structures:
+        audit_structure(L)
+        yield L
+
+
 def _canonical_key(L: FiniteMultLattice, autos) -> tuple[int, ...]:
     ids = range(L.size)
-    keys = []
-    for sigma in autos:
-        inv = [0] * L.size
-        for i, img in enumerate(sigma):
-            inv[img] = i
-        keys.append(tuple(sigma[L.mult[inv[i]][inv[j]]] for i in ids for j in ids))
-    return min(keys)
+    mult = L.mult
+    return min(
+        tuple(sigma[mult[inv[i]][inv[j]]] for i in ids for j in ids)
+        for sigma, inv in autos
+    )

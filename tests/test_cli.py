@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import POSET_P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharplat import cli, exemplars, gallery
+from sharplat import cli, enumeration, exemplars, gallery
 from sharplat.cli import main
 from sharplat.errors import InternalEquivalenceViolation, InternalValidationFailure
 
@@ -29,6 +30,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def assert_payload(capsys, argv, code, payload):
+    """``argv`` prints ``payload`` and exits ``code``, compact and pretty."""
+    for pretty in ([], ["--pretty"]):
+        out = run(capsys, *argv, *pretty)
+        indent = 2 if pretty else None
+        separators = None if pretty else (",", ":")
+        assert out == (code, json.dumps(payload, indent=indent, separators=separators) + "\n")
+
+
+def write_poset(path, poset):
+    leq = [[int(v) for v in row] for row in poset.leq]
+    path.write_text(json.dumps({"elements": list(poset.names), "leq": leq}), encoding="utf-8")
+    return path
 
 
 # -- validate -----------------------------------------------------------
@@ -352,11 +368,7 @@ def test_enumerate_census_matches_golden_file(capsys, fixtures_dir):
 
 def test_enumerate_poset_p_census_matches_golden_file(capsys, fixtures_dir, tmp_path):
     # 442 / 65 / 0 / 0, 268 up to automorphism: the non-chain census
-    path = tmp_path / "poset_p.json"
-    leq = [[int(v) for v in row] for row in POSET_P.leq]
-    path.write_text(
-        json.dumps({"elements": list(POSET_P.names), "leq": leq}), encoding="utf-8"
-    )
+    path = write_poset(tmp_path / "poset_p.json", POSET_P)
     code, out = run(capsys, "enumerate", "--poset", str(path), "--census", "--distinct")
     assert code == 0
     golden = (fixtures_dir / "census_poset_p.json").read_text(encoding="utf-8")
@@ -407,7 +419,7 @@ def test_enumerate_audit_each_clean(capsys):
 def test_enumerate_audit_each_reports_falsified_claim(capsys, monkeypatch, census):
     # forcing the sharpness antecedent to true trips the maximal-square-gap
     # claim on the all-nil 4-chain, the first structure in table order
-    from sharplat import enumeration, predicates
+    from sharplat import predicates
     from sharplat.core import FiniteMultLattice
 
     monkeypatch.setattr(predicates, "is_sharp", lambda L: True)
@@ -421,12 +433,13 @@ def test_enumerate_audit_each_reports_falsified_claim(capsys, monkeypatch, censu
     assert out["lattice"] == expected
 
 
+@pytest.mark.parametrize("census", [[], ["--census"]])
 def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
-    capsys, monkeypatch, tmp_path
+    capsys, monkeypatch, tmp_path, census
 ):
-    # each representative is written as its structure arrives, so a claim
-    # falsified at the third structure leaves the first two files
-    from sharplat import enumeration
+    # each representative is written as its structure arrives, with or
+    # without the census, so a claim falsified at the third structure
+    # leaves the first two files
     from sharplat.errors import ClaimFalsified
 
     audited = []
@@ -446,6 +459,7 @@ def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
         "--chain",
         "4",
         "--audit-each",
+        *census,
         "--emit-representatives",
         str(outdir),
     )
@@ -457,6 +471,40 @@ def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
     for name, L in zip(names, audited):
         text = (outdir / name).read_text(encoding="utf-8")
         assert text == json.dumps(L.serialize(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("census", [[], ["--census"]])
+def test_enumerate_emit_on_a_poset_with_no_structure(capsys, tmp_path, census):
+    # the five-element diamond M3 carries no structure: nothing is written,
+    # but the directory is still made
+    path = write_poset(tmp_path / "m3.json", enumeration.diamond_poset(3))
+    outdir = tmp_path / "reps"
+    code, out = run_json(
+        capsys, "enumerate", "--poset", str(path), *census, "--emit-representatives", str(outdir)
+    )
+    assert code == 0
+    assert out["total_structures"] == 0
+    assert out["representatives_files"] == []
+    assert outdir.is_dir() and not any(outdir.iterdir())
+
+
+def test_enumerate_census_emit_memory_does_not_grow_with_structure_count(
+    capsys, tmp_path
+):
+    # the 2,386 chain-8 documents are written as they arrive, never held
+    # together: this traced 1.1 MB, and collecting them first 6.9 MB
+    tracemalloc.start()
+    try:
+        code = main(
+            ["enumerate", "--chain", "8", "--census", "--emit-representatives", str(tmp_path)]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["total_structures"] == len(out["representatives_files"]) == 2386
+    assert peak < 2_000_000
 
 
 def test_enumerate_size_too_small(capsys):
@@ -532,11 +580,24 @@ def test_main_error_payloads(
         payload = {"valid": False, "stage": "io", "detail": str(missing.value)}
     if patch is not None:
         monkeypatch.setattr(predicates, "sharpness_report", _raise_from_report(patch))
-    for pretty in ([], ["--pretty"]):
-        out = run(capsys, "report", str(path), "--sharp", *pretty)
-        indent = 2 if pretty else None
-        separators = None if pretty else (",", ":")
-        assert out == (code, json.dumps(payload, indent=indent, separators=separators) + "\n")
+    assert_payload(capsys, ["report", str(path), "--sharp"], code, payload)
+
+
+@pytest.mark.parametrize("below", [[], ["sub"]], ids=["file", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--chain", "4", "--census", "--emit-representatives"], ["gallery", "--out"]],
+    ids=["enumerate", "gallery"],
+)
+def test_main_output_io_error_payloads(capsys, tmp_path, argv, below):
+    # an output directory that cannot be made is an I/O failure, exit 2
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    target = taken.joinpath(*below)
+    with pytest.raises(OSError) as failure:
+        target.mkdir(parents=True, exist_ok=True)
+    payload = {"valid": False, "stage": "io", "detail": str(failure.value)}
+    assert_payload(capsys, [*argv, str(target)], 2, payload)
 
 
 # -- exemplars ----------------------------------------------------------
