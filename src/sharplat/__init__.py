@@ -12,7 +12,6 @@ from .core import (
     FinitePoset,
     parse_lattice,
     parse_poset,
-    serialize,
 )
 from .constructions import (
     LocalizationResult,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_poset",
     "principal_monoid",
     "quotient",
-    "serialize",
     "sharpness_report",
     "theorem_audit",
 ]

@@ -2,11 +2,14 @@
 audit reports, run censuses and exemplar self-tests, and write the
 built-in gallery.
 
-All output is JSON (one document per invocation, machine-ordered);
-``--pretty`` switches to indented rendering.  Exit codes: 0 success,
-1 a property or identity was falsified, 2 invalid input (I/O, schema
-and axiom failures carry distinct diagnostics), 3 internal invariant
-violation.
+Each command returns its one JSON document (machine-ordered) and exit
+code; :func:`main` prints the document once, after the command has
+finished, compact by default and indented under ``--pretty``.  Exit
+codes: 0 success, 1 a property or identity was falsified, 2 invalid
+input (I/O, schema and axiom failures carry distinct diagnostics), 3
+internal invariant violation.  A stdout closed by its reader is not an
+input failure: nothing more is written, and the exit code is 141, as
+for a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,13 +35,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 
 def _witness(exc: SharplatError):
@@ -48,45 +46,30 @@ def _read_document(path: str) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     doc = _read_document(args.path)
     try:
         lattice = parse_lattice(doc)
     except BadSchema as exc:
-        _emit({"valid": False, "stage": "schema", "detail": str(exc)}, args.pretty)
-        return EXIT_INVALID_INPUT
+        return {"valid": False, "stage": "schema", "detail": str(exc)}, EXIT_INVALID_INPUT
     except SharplatError as exc:
-        _emit(
-            {
-                "valid": False,
-                "stage": "axioms",
-                "error": type(exc).__name__,
-                "witness": _witness(exc),
-                "detail": str(exc),
-            },
-            args.pretty,
-        )
-        return EXIT_INVALID_INPUT
-    _emit(
-        {
-            "valid": True,
-            "elements": list(lattice.names),
-            "size": lattice.size,
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+        return {
+            "valid": False,
+            "stage": "axioms",
+            "error": type(exc).__name__,
+            "witness": _witness(exc),
+            "detail": str(exc),
+        }, EXIT_INVALID_INPUT
+    return {"valid": True, "elements": list(lattice.names), "size": lattice.size}, EXIT_OK
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, int]:
     lattice = parse_lattice(_read_document(args.path))
     sections = [s for s in predicates.REPORT_SECTIONS if getattr(args, s)]
-    out = predicates.report(lattice, sections or predicates.REPORT_SECTIONS)
-    _emit(out, args.pretty)
-    return EXIT_OK
+    return predicates.report(lattice, sections or predicates.REPORT_SECTIONS), EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[dict, int]:
     if args.chain is not None:
         poset = enumeration.chain_poset(args.chain)
     else:
@@ -105,8 +88,7 @@ def cmd_enumerate(args) -> int:
         out["total_structures"] = sum(1 for _ in structures)
     if files is not None:
         out["representatives_files"] = files
-    _emit(out, args.pretty)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
 def _write_representatives(directory: str, structures, names: list[str]):
@@ -115,18 +97,14 @@ def _write_representatives(directory: str, structures, names: list[str]):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for k, L in enumerate(structures, start=1):
-        name = f"structure_{k:03d}.json"
-        (directory / name).write_text(
-            json.dumps(L.serialize(), indent=2) + "\n", encoding="utf-8"
-        )
-        names.append(name)
+        names.append(gallery.write_document(directory, f"structure_{k:03d}", L.serialize()))
         yield L
 
 
 _DEFAULT_TRIALS = {"zminus": 100, "r1": 1000, "nideal": 200}
 
 
-def cmd_exemplars(args) -> int:
+def cmd_exemplars(args) -> tuple[dict, int]:
     trials = _DEFAULT_TRIALS[args.model] if args.trials is None else args.trials
     if args.model == "zminus":
         report = exemplars.zminus_selftest(max_exponent=trials)
@@ -137,17 +115,13 @@ def cmd_exemplars(args) -> int:
     else:
         report = exemplars.nideal_selftest(trials=trials, seed=args.seed)
         ok = report["expected_outcome_confirmed"]
-    _emit(report, args.pretty)
-    return EXIT_OK if ok else EXIT_FALSIFIED
+    return report, EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def cmd_gallery(args) -> int:
-    if args.out is not None:
-        written = gallery.write_fixtures(args.out)
-        _emit({"directory": args.out, "written": written}, args.pretty)
-    else:
-        _emit({"gallery": gallery.gallery_documents()}, args.pretty)
-    return EXIT_OK
+def cmd_gallery(args) -> tuple[dict, int]:
+    if args.out is None:
+        return {"gallery": gallery.gallery_documents()}, EXIT_OK
+    return {"directory": args.out, "written": gallery.write_fixtures(args.out)}, EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -220,37 +194,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
     except json.JSONDecodeError as exc:
-        detail = f"not valid JSON: {exc}"
-        _emit({"valid": False, "stage": "schema", "detail": detail}, args.pretty)
-        return EXIT_INVALID_INPUT
+        doc = {"valid": False, "stage": "schema", "detail": f"not valid JSON: {exc}"}
+        code = EXIT_INVALID_INPUT
     except OSError as exc:
-        _emit({"valid": False, "stage": "io", "detail": str(exc)}, args.pretty)
-        return EXIT_INVALID_INPUT
+        doc, code = {"valid": False, "stage": "io", "detail": str(exc)}, EXIT_INVALID_INPUT
     except ClaimFalsified as exc:
-        _emit(
-            {
-                "error": "ClaimFalsified",
-                "claim": exc.claim,
-                "witness": _witness(exc),
-                "lattice": exc.lattice_document,
-            },
-            args.pretty,
-        )
-        return EXIT_INTERNAL
+        doc = {
+            "error": "ClaimFalsified",
+            "claim": exc.claim,
+            "witness": _witness(exc),
+            "lattice": exc.lattice_document,
+        }
+        code = EXIT_INTERNAL
     except SharplatError as exc:
-        _emit(
-            {
-                "error": type(exc).__name__,
-                "witness": _witness(exc),
-                "detail": str(exc),
-            },
-            args.pretty,
-        )
-        if isinstance(exc, (InternalEquivalenceViolation, InternalValidationFailure)):
-            return EXIT_INTERNAL
-        return EXIT_INVALID_INPUT
+        doc = {"error": type(exc).__name__, "witness": _witness(exc), "detail": str(exc)}
+        internal = isinstance(exc, (InternalEquivalenceViolation, InternalValidationFailure))
+        code = EXIT_INTERNAL if internal else EXIT_INVALID_INPUT
+    if args.pretty:
+        text = json.dumps(doc, indent=2)
+    else:
+        text = json.dumps(doc, separators=(",", ":"))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; point stdout at the null device so the
+        # interpreter's flush at exit does not fail on the same pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

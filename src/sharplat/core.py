@@ -21,6 +21,7 @@ loader, so both report the same schema diagnostics.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -354,9 +355,11 @@ class FiniteMultLattice(_Order):
 
     def __init__(self, poset: FinitePoset, mult, provenance: dict | None = None):
         n = poset.size
-        mult = tuple(tuple(map(int, row)) for row in mult)
+        mult = tuple(map(tuple, mult))
         if len(mult) != n or any(len(row) != n for row in mult):
             raise BadSchema(f"mult must be {n}x{n}")
+        if set(map(type, chain.from_iterable(mult))) != {int}:
+            raise BadSchema("mult entries must be ints")
         if any(min(row) < 0 or max(row) >= n for row in mult):
             raise BadSchema("mult entries out of range")
         self.poset = poset
@@ -488,11 +491,6 @@ class FiniteMultLattice(_Order):
                 doc[key] = self.provenance[key]
         return doc
 
-    def to_json(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.serialize(), indent=2)
-        return json.dumps(self.serialize(), separators=(",", ":"))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteMultLattice)
@@ -576,7 +574,3 @@ def parse_lattice(document: dict | str) -> FiniteMultLattice:
     new_mult = [[inverse[mult[a][b]] for b in order] for a in order]
     provenance = {k: document[k] for k in _PROVENANCE_KEYS if k in document}
     return FiniteMultLattice(poset, new_mult, provenance=provenance or None)
-
-
-def serialize(lattice: FiniteMultLattice) -> dict:
-    return lattice.serialize()

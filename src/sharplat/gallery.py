@@ -3,7 +3,8 @@
 The five named lattices below recur throughout the tests; the gallery
 also includes every sharp structure on the five-element chain so golden
 tests have stable inputs.  ``write_fixtures`` materializes all of them
-as interchange-format JSON files.
+as interchange-format JSON files through ``write_document``, which also
+writes the CLI's ``--emit-representatives`` files.
 """
 
 from __future__ import annotations
@@ -82,14 +83,18 @@ def gallery_documents() -> dict[str, dict]:
     return docs
 
 
+def write_document(directory: Path, name: str, doc: dict) -> str:
+    """Write ``doc`` to ``directory/name.json`` as indented JSON with a
+    final newline, the form of every shipped fixture; returns the file
+    name.  The caller makes ``directory``."""
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path.name
+
+
 def write_fixtures(directory: str | Path) -> list[str]:
-    """Write every gallery document to ``directory`` as pretty JSON;
-    returns the file names written."""
+    """Write every gallery document to ``directory``; returns the file
+    names written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, doc in gallery_documents().items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        written.append(path.name)
-    return written
+    return [write_document(directory, name, doc) for name, doc in gallery_documents().items()]

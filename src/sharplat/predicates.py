@@ -581,18 +581,18 @@ def _claim(claim, applicable, antecedent, find):
     return _falsified(claim, witness) if witness else _verified(claim)
 
 
-def theorem_audit(L: FiniteMultLattice, raise_on_falsified: bool = True) -> TheoremAudit:
+def theorem_audit(L: FiniteMultLattice) -> TheoremAudit:
     """Check every finite-scale claim on L.
 
     Claims gated on structural hypotheses that L does not meet are
     reported not_applicable, never verified.  A falsified claim on a
-    valid lattice indicates a bug somewhere in this package, so by
-    default it raises ClaimFalsified.
+    valid lattice indicates a bug somewhere in this package, so it
+    raises ClaimFalsified.
     """
-    return _audit(L, _scan(L), raise_on_falsified)
+    return _audit(L, _scan(L))
 
 
-def _audit(L, analysis: _Analysis, raise_on_falsified: bool = True) -> TheoremAudit:
+def _audit(L, analysis: _Analysis) -> TheoremAudit:
     from . import constructions  # deferred: constructions uses the prime check
 
     profile, primes, jp, principals, pd_witness = analysis
@@ -694,7 +694,7 @@ def _audit(L, analysis: _Analysis, raise_on_falsified: bool = True) -> TheoremAu
     ]
 
     audit = TheoremAudit(tuple(records))
-    if raise_on_falsified and audit.falsified:
+    if audit.falsified:
         bad = audit.falsified[0]
         raise ClaimFalsified(bad.claim, bad.witness)
     return audit

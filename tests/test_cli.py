@@ -473,6 +473,25 @@ def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
         assert text == json.dumps(L.serialize(), indent=2) + "\n"
 
 
+def test_enumerate_emit_writes_the_shipped_fixture_bytes(capsys, tmp_path, fixtures_dir):
+    # one writer makes the representatives and the gallery: the sharp
+    # structures on the 5-chain, in table order, are the shipped
+    # sharp_chain5 fixtures byte for byte
+    from sharplat import parse_lattice, predicates
+
+    code, out = run_json(
+        capsys, "enumerate", "--chain", "5", "--emit-representatives", str(tmp_path)
+    )
+    assert code == 0 and len(out["representatives_files"]) == 22
+    texts = [(tmp_path / name).read_text(encoding="utf-8") for name in out["representatives_files"]]
+    sharp = [t for t in texts if predicates.is_sharp(parse_lattice(json.loads(t)))]
+    shipped = [
+        (fixtures_dir / f"sharp_chain5_{k:02d}.json").read_text(encoding="utf-8")
+        for k in range(1, 14)
+    ]
+    assert sharp == shipped
+
+
 @pytest.mark.parametrize("census", [[], ["--census"]])
 def test_enumerate_emit_on_a_poset_with_no_structure(capsys, tmp_path, census):
     # the five-element diamond M3 carries no structure: nothing is written,
@@ -598,6 +617,43 @@ def test_main_output_io_error_payloads(capsys, tmp_path, argv, below):
         target.mkdir(parents=True, exist_ok=True)
     payload = {"valid": False, "stage": "io", "detail": str(failure.value)}
     assert_payload(capsys, [*argv, str(target)], 2, payload)
+
+
+def test_commands_return_their_document(capsys, fixtures_dir):
+    # a command prints nothing: main renders the document it returns
+    args = cli.build_parser().parse_args(["validate", str(fixtures_dir / "chain2.json")])
+    assert args.func(args) == ({"valid": True, "elements": ["0", "1"], "size": 2}, 0)
+    assert capsys.readouterr().out == ""
+
+
+def test_closed_stdout_is_not_an_input_failure(tmp_path):
+    # the reader takes 10 bytes of the 16 KB gallery and leaves while the
+    # child is still writing (the pipe holds one page where the platform
+    # can size it): no "io" payload, no chained traceback, exit 141
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    try:
+        import fcntl
+
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    except (ImportError, AttributeError):
+        pass
+    with open(tmp_path / "stderr", "w+b") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "sharplat.cli", "gallery", "--pretty"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=err,
+        )
+        os.close(write_end)
+        assert os.read(read_end, 10)
+        os.close(read_end)
+        code = child.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read().decode()
+    assert "During handling of the above exception" not in stderr
+    assert '"stage"' not in stderr
+    assert (code, stderr) == (cli.EXIT_CLOSED_STDOUT, "")
 
 
 # -- exemplars ----------------------------------------------------------

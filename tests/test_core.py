@@ -94,7 +94,7 @@ def test_parse_checks_the_order_once(monkeypatch, nonsharp5):
 
 def test_round_trip_all_gallery():
     for L in all_gallery():
-        assert parse_lattice(json.loads(L.to_json())) == L
+        assert parse_lattice(json.loads(json.dumps(L.serialize()))) == L
 
 
 @pytest.mark.parametrize(
@@ -266,6 +266,19 @@ def test_empty_join_law_checked():
     mult = [[0, 1, 0], [1, 1, 1], [0, 1, 2]]  # 0*m = m
     with pytest.raises(NotDistributive):
         FiniteMultLattice(FinitePoset(["0", "m", "1"], CHAIN3_LEQ), mult)
+
+
+@pytest.mark.parametrize(
+    "cell, entry", [((1, 1), 0.9), ((1, 2), "1"), ((1, 2), True)], ids=["float", "str", "bool"]
+)
+def test_mult_entries_must_be_ints(cell, entry):
+    # each table coerces by int() to the valid nil 3-chain; none may
+    # validate as that structure
+    mult = [[0, 0, 0], [0, 0, 1], [0, 1, 2]]
+    i, j = cell
+    mult[i][j] = entry
+    with pytest.raises(BadSchema):
+        FiniteMultLattice(enumeration.chain_poset(3), mult)
 
 
 def test_one_element_lattice_validates():
