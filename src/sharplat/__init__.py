@@ -22,7 +22,6 @@ from .constructions import (
 )
 from .enumeration import (
     Census,
-    brute_force_structures,
     census,
     chain_poset,
     diamond_poset,
@@ -56,7 +55,6 @@ __all__ = [
     "QuotientResult",
     "SharpnessReport",
     "TheoremAudit",
-    "brute_force_structures",
     "census",
     "chain_poset",
     "diamond_poset",

@@ -20,7 +20,6 @@ loader, so both report the same schema diagnostics.
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -510,15 +509,10 @@ def _require(condition: bool, message: str) -> None:
         raise BadSchema(message)
 
 
-def _load(document: dict | str, keys: tuple[str, ...]) -> dict:
-    """Decode a lattice document and check its shape: an object holding
+def _load(document: dict, keys: tuple[str, ...]) -> dict:
+    """Check a decoded lattice document's shape: an object holding
     ``keys`` (``"elements"`` first, then n x n matrices), non-empty
     string names, and a ``leq`` of integer or boolean 0/1 entries."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise BadSchema(f"not valid JSON: {exc}") from exc
     _require(isinstance(document, dict), "document must be a JSON object")
     for key in keys:
         _require(key in document, f'missing "{key}"')
@@ -545,14 +539,14 @@ def _load(document: dict | str, keys: tuple[str, ...]) -> dict:
     return document
 
 
-def parse_poset(document: dict | str) -> FinitePoset:
+def parse_poset(document: dict) -> FinitePoset:
     """Read and canonicalize the order part of a lattice document."""
     document = _load(document, ("elements", "leq"))
     poset, _ = FinitePoset.from_raw(document["elements"], document["leq"])
     return poset
 
 
-def parse_lattice(document: dict | str) -> FiniteMultLattice:
+def parse_lattice(document: dict) -> FiniteMultLattice:
     """Parse, canonicalize and fully validate a lattice document.
 
     The input order may be arbitrary; the result is re-indexed so the

@@ -24,7 +24,6 @@ coincide there; for other posets an optional canonical-form count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import predicates
 from .core import FiniteMultLattice, FinitePoset, _bits
@@ -176,41 +175,6 @@ def enumerate_structures(poset: FinitePoset):
     distributivity triples that read the new cell.
     """
     yield from _search(poset, _free_cells(poset))
-
-
-def brute_force_structures(poset: FinitePoset) -> list[FiniteMultLattice]:
-    """Reference oracle: try every commutative table and keep what the
-    validator accepts.
-
-    Tables are generated as assignments over unordered pairs, which is
-    every commutative table; non-commutative tables never validate, so
-    nothing is lost.  The two inline pre-filters (identity row, bottom
-    row) reject exactly the tables the validator would reject with
-    NoIdentity / the empty-join law, just without building the object.
-    Exponential: intended for carriers of size <= 4.
-    """
-    n = poset.size
-    top = n - 1
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    forced = []
-    for k, (i, j) in enumerate(pairs):
-        if j == top:
-            forced.append((k, i))
-        elif i == 0:
-            forced.append((k, 0))
-    out = []
-    for values in product(range(n), repeat=len(pairs)):
-        if any(values[k] != v for k, v in forced):
-            continue
-        table = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(pairs, values):
-            table[i][j] = table[j][i] = v
-        try:
-            out.append(FiniteMultLattice(poset, table))
-        except SharplatError:
-            continue
-    out.sort(key=FiniteMultLattice.flat_mult)
-    return out
 
 
 def poset_header(elements, leq) -> dict:

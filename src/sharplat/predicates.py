@@ -5,8 +5,8 @@ the underlying theory on a concrete lattice.
 Quantifiers are evaluated over the whole carrier by reading the
 lattice's ``mult``, ``leq``, ``joins``/``meets`` and ``residuals``
 tables row by row; the definitional sharpness route works on bitmask
-sets instead, and :func:`factorization_witnesses`, a full scan, is its
-independent oracle.  Every negative answer carries the least witness in
+sets instead, checked against a full factorization scan in the tests'
+oracles.  Every negative answer carries the least witness in
 canonical order (lexicographic for tuples), so reports are
 reproducible.
 
@@ -396,34 +396,6 @@ def _sharp_by_definition(L) -> bool:
                 return False
             reach[a1] = r
     return True
-
-
-def factorization_witnesses(L: FiniteMultLattice) -> dict:
-    """Map each (a1, a2, b) with a1 a2 <= b to the least factorization
-    (b1, b2) of b with a_i <= b_i, by full scan, or ``{}`` if one has
-    none.  It always holds (0, 0, 0), so L is sharp exactly when it is
-    non-empty: the oracle for the table route."""
-    witnesses = {}
-    for a1 in L.elements():
-        for a2 in L.elements():
-            prod = L.mul(a1, a2)
-            for b in L.elements():
-                if not L.le(prod, b):
-                    continue
-                found = None
-                for b1 in L.elements():
-                    if found is not None:
-                        break
-                    if not L.le(a1, b1):
-                        continue
-                    for b2 in L.elements():
-                        if L.mul(b1, b2) == b and L.le(a2, b2):
-                            found = (b1, b2)
-                            break
-                if found is None:
-                    return {}
-                witnesses[(a1, a2, b)] = found
-    return witnesses
 
 
 def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:

@@ -30,6 +30,43 @@ POSET_P = ranked_poset(
 )
 
 
+def chain_document(n, mult):
+    """The n-chain document 0 < c1 < ... < c(n-2) < 1 with table ``mult``."""
+    names = ["0", *(f"c{i}" for i in range(1, n - 1)), "1"]
+    leq = [[int(i <= j) for j in range(n)] for i in range(n)]
+    return {"elements": names, "leq": leq, "mult": mult}
+
+
+def valuation_document(n):
+    """The valuation n-chain, sharp and local: id i is m^(n-1-i), so ids
+    i and j multiply to id i + j - (n - 1), or 0 past the end."""
+    return chain_document(
+        n, [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def nil_document(n):
+    """The n-chain whose interior products are all 0: not sharp once
+    n >= 4."""
+    top = n - 1
+    return chain_document(n, [
+        [j if i == top else i if j == top else 0 for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def product_document(A, B):
+    """The componentwise product of the lattice documents A and B."""
+    pairs = [(a, b) for a in range(len(A["elements"])) for b in range(len(B["elements"]))]
+    return {
+        "elements": [f"{A['elements'][a]},{B['elements'][b]}" for a, b in pairs],
+        "leq": [[int(A["leq"][a][c] and B["leq"][b][d]) for c, d in pairs]
+                for a, b in pairs],
+        "mult": [[pairs.index((A["mult"][a][c], B["mult"][b][d])) for c, d in pairs]
+                 for a, b in pairs],
+    }
+
+
 @pytest.fixture(scope="session")
 def nonsharp5():
     return gallery.nonsharp5()

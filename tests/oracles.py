@@ -1,0 +1,210 @@
+"""Reference implementations the tests check the engine against.
+
+Each oracle here is a slow, direct reading of a definition, shared by
+every test that needs it.  They import only public ``sharplat`` names
+and never call the search, its incremental check or the validator they
+are meant to check (``test_oracles`` parses this file to hold that).
+
+- :func:`triple_scan` is the validator as a plain triple scan;
+- :func:`structures_by_sweep` tries every interior table and keeps what
+  the triple scan accepts;
+- :func:`tnorms` enumerates the discrete t-norms on a chain, which are
+  exactly its structures (B. De Baets and R. Mesiar, "Discrete
+  triangular norms", 2003);
+- :func:`lift` adds a new bottom below an order: the domains on the
+  lift are the lifts (:func:`lift_table`) of the structures below it;
+- :func:`factorization_witnesses` decides the definition of sharpness
+  by full scan;
+- :func:`stable_topological_order` is the interchange format's
+  canonical element order as a list scan.
+"""
+
+from itertools import product
+
+from sharplat import FinitePoset
+from sharplat.errors import (
+    InternalValidationFailure,
+    NoIdentity,
+    NotAssociative,
+    NotCommutative,
+    NotDistributive,
+    SharplatError,
+)
+
+
+def triple_scan(poset, mult):
+    """The validator as a plain triple scan: every axiom checked triple
+    by triple, in the validator's order, raising on the first
+    violation."""
+    n = poset.size
+    joins, meets, leq = poset.joins, poset.meets, poset.leq
+    top = n - 1
+    for x in range(n):
+        for y in range(x + 1, n):
+            if mult[x][y] != mult[y][x]:
+                raise NotCommutative(f"{x}*{y} != {y}*{x}", witness=(x, y))
+    for x in range(n):
+        if mult[top][x] != x:
+            raise NoIdentity(f"top*{x} != {x}", witness=(x,))
+    for x in range(n):
+        if mult[x][0] != 0:
+            raise NotDistributive(
+                f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
+            )
+    for x in range(n):
+        for y in range(n):
+            xy = mult[x][y]
+            for z in range(n):
+                if mult[xy][z] != mult[x][mult[y][z]]:
+                    raise NotAssociative(
+                        f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
+                    )
+    for a in range(n):
+        for b in range(n):
+            for c in range(b + 1, n):
+                if mult[a][joins[b][c]] != joins[mult[a][b]][mult[a][c]]:
+                    raise NotDistributive(
+                        f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}", witness=(a, b, c)
+                    )
+    for x in range(n):
+        for y in range(n):
+            if not leq[mult[x][y]][meets[x][y]]:
+                raise InternalValidationFailure(
+                    f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
+                )
+
+
+def structures_by_sweep(poset):
+    """Every structure table on ``poset``, in ascending row-major order:
+    each value assignment of the interior products (the identity and
+    bottom rows are forced) that :func:`triple_scan` accepts.
+    Exponential in the interior: meant for carriers of up to 5 elements.
+    """
+    n = poset.size
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    accepted = []
+    for values in product(range(n), repeat=len(cells)):
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            table[n - 1][x] = table[x][n - 1] = x
+        for (i, j), v in zip(cells, values):
+            table[i][j] = table[j][i] = v
+        try:
+            triple_scan(poset, table)
+        except SharplatError:
+            continue
+        accepted.append(tuple(map(tuple, table)))
+    return sorted(accepted)
+
+
+def tnorms(n):
+    """Every discrete t-norm on the n-chain 0 < 1 < ... < n-1, in
+    ascending row-major order: the commutative, associative, monotone
+    tables with the top as identity.
+
+    A backtracking search over the interior cells i <= j, row-major.
+    Monotonicity bounds each cell below by its left and upper
+    neighbours and above by i = (i, top); each assignment is checked
+    against the associativity triples that read it and are determined.
+    """
+    top = n - 1
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = table[x][0] = 0
+        table[top][x] = table[x][top] = x
+    cells = [(i, j) for i in range(1, top) for j in range(i, top)]
+    found = []
+
+    def associative(a, b):
+        # the new cell ab as x*y in (xy)z = x(yz), for every z, and as
+        # the outer product (xy)*b with xy = a; commutativity covers the
+        # triples that read it as y*z or x*(yz)
+        ab = table[a][b]
+        for z in range(n):
+            bz = table[b][z]
+            if bz is not None:
+                left, right = table[ab][z], table[a][bz]
+                if left is not None and right is not None and left != right:
+                    return False
+        for x in range(n):
+            for y in range(n):
+                if table[x][y] == a:
+                    yb = table[y][b]
+                    if yb is not None and table[x][yb] not in (None, ab):
+                        return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            found.append(tuple(map(tuple, table)))
+            return
+        i, j = cells[k]
+        for v in range(max(table[i - 1][j], table[i][j - 1]), i + 1):
+            table[i][j] = table[j][i] = v
+            if associative(i, j) and associative(j, i):
+                fill(k + 1)
+        table[i][j] = table[j][i] = None
+
+    fill(0)
+    return found
+
+
+def lift(Q):
+    """1 (+) Q: the poset ``Q`` with a new bottom "0" added below it,
+    Q's own elements primed and shifted up by one id."""
+    n = Q.size + 1
+    names = ["0", *(f"{name}'" for name in Q.names)]
+    leq = [[i == 0 or (j > 0 and Q.leq[i - 1][j - 1]) for j in range(n)] for i in range(n)]
+    return FinitePoset(names, leq)
+
+
+def lift_table(mult):
+    """The structure on 1 (+) Q extending the table ``mult`` on Q: the
+    new bottom absorbs, and every other product is as in Q."""
+    n = len(mult) + 1
+    return ((0,) * n, *((0, *(v + 1 for v in row)) for row in mult))
+
+
+def factorization_witnesses(L) -> dict:
+    """Map each (a1, a2, b) with a1 a2 <= b to the least factorization
+    (b1, b2) of b with a_i <= b_i, by full scan, or ``{}`` if one has
+    none.  It always holds (0, 0, 0), so L is sharp exactly when it is
+    non-empty: the oracle for the table route."""
+    witnesses = {}
+    for a1 in L.elements():
+        for a2 in L.elements():
+            prod = L.mul(a1, a2)
+            for b in L.elements():
+                if not L.le(prod, b):
+                    continue
+                found = None
+                for b1 in L.elements():
+                    if found is not None:
+                        break
+                    if not L.le(a1, b1):
+                        continue
+                    for b2 in L.elements():
+                        if L.mul(b1, b2) == b and L.le(a2, b2):
+                            found = (b1, b2)
+                            break
+                if found is None:
+                    return {}
+                witnesses[(a1, a2, b)] = found
+    return witnesses
+
+
+def stable_topological_order(leq):
+    """The interchange format's canonical order: repeatedly take the
+    first remaining element, by listed position, whose strict
+    predecessors are all placed."""
+    n = len(leq)
+    placed = []
+    remaining = list(range(n))
+    while remaining:
+        i = next(
+            i for i in remaining
+            if all(j in placed or not leq[j][i] for j in range(n) if j != i)
+        )
+        placed.append(i)
+        remaining.remove(i)
+    return placed

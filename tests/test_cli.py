@@ -12,9 +12,10 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import POSET_P
+from conftest import POSET_P, REPO_ROOT, product_document, valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import stable_topological_order
 
 from sharplat import cli, enumeration, exemplars, gallery
 from sharplat.cli import main
@@ -151,35 +152,15 @@ def test_report_defaults_to_all_sections(capsys, fixtures_dir):
     assert {"profile", "element_profiles", "sharpness", "audit"} <= set(out)
 
 
-def _valuation_document(n):
-    # id i is m^(n-1-i): ids i and j multiply to id i + j - (n - 1), or 0
-    return {
-        "elements": ["0", *(f"c{i}" for i in range(1, n - 1)), "1"],
-        "leq": [[int(i <= j) for j in range(n)] for i in range(n)],
-        "mult": [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)],
-    }
-
-
-def _product_document(A, B):
-    pairs = [(a, b) for a in range(len(A["elements"])) for b in range(len(B["elements"]))]
-    return {
-        "elements": [f"{A['elements'][a]},{B['elements'][b]}" for a, b in pairs],
-        "leq": [[int(A["leq"][a][c] and B["leq"][b][d]) for c, d in pairs]
-                for a, b in pairs],
-        "mult": [[pairs.index((A["mult"][a][c], B["mult"][b][d])) for c, d in pairs]
-                 for a, b in pairs],
-    }
-
-
 def _report_golden_paths(fixtures_dir, directory):
     """Every gallery fixture, plus two built lattices written to
     ``directory``: the sharp local valuation 16-chain and the non-local
     product of two valuation 5-chains."""
     paths = {name: fixtures_dir / f"{name}.json" for name in gallery.gallery_documents()}
-    five = _valuation_document(5)
+    five = valuation_document(5)
     built = {
-        "valuation_chain16": _valuation_document(16),
-        "valuation_product5x5": _product_document(five, five),
+        "valuation_chain16": valuation_document(16),
+        "valuation_product5x5": product_document(five, five),
     }
     for name, doc in built.items():
         paths[name] = directory / f"{name}.json"
@@ -286,22 +267,6 @@ def _relisted(doc, order):
     }
 
 
-def _stable_topological_order(leq):
-    """The interchange format's canonical order: repeatedly take the
-    first remaining element, by listed position, whose strict
-    predecessors are all placed."""
-    placed = []
-    remaining = list(range(len(leq)))
-    while remaining:
-        i = next(
-            i for i in remaining
-            if all(j in placed for j in range(len(leq)) if j != i and leq[j][i])
-        )
-        placed.append(i)
-        remaining.remove(i)
-    return placed
-
-
 def _report_in_process(doc, flags):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "lattice.json"
@@ -332,7 +297,7 @@ def test_report_is_invariant_under_element_order(census_structures, data):
         label="flags",
     )
     scrambled = _relisted(doc, order)
-    canonical = _relisted(scrambled, _stable_topological_order(scrambled["leq"]))
+    canonical = _relisted(scrambled, stable_topological_order(scrambled["leq"]))
     assert _report_in_process(scrambled, flags) == _report_in_process(canonical, flags)
 
 
@@ -553,6 +518,13 @@ _NO_BOTTOM = {
 }
 
 
+# fixtures/chain2.json as one JSON string value
+_CHAIN2_TEXT = (REPO_ROOT / "fixtures" / "chain2.json").read_text(encoding="utf-8")
+_NOT_AN_OBJECT = {
+    "error": "BadSchema", "witness": None, "detail": "document must be a JSON object",
+}
+
+
 @pytest.mark.parametrize(
     "document, patch, code, payload",
     [
@@ -565,7 +537,10 @@ _NO_BOTTOM = {
         ({"elements": ["0", "1"], "leq": [[1, 1], [0, 1]]}, None, 2, {
             "error": "BadSchema", "witness": None, "detail": 'missing "mult"',
         }),
-        ("chain3_nil", InternalEquivalenceViolation(
+        # a JSON string is decoded once, not read as a second document
+        (_CHAIN2_TEXT, None, 2, _NOT_AN_OBJECT),
+        ("x", None, 2, _NOT_AN_OBJECT),
+        (Path("chain3_nil.json"), InternalEquivalenceViolation(
             "sharpness checks disagree: definition=True residual_identity=False "
             "divides=True restricted_divides=True", witness=(1, 2),
         ), 3, {
@@ -574,21 +549,24 @@ _NO_BOTTOM = {
             "detail": "sharpness checks disagree: definition=True "
             "residual_identity=False divides=True restricted_divides=True",
         }),
-        ("chain3_nil", InternalValidationFailure("derived bound fails"), 3, {
+        (Path("chain3_nil.json"), InternalValidationFailure("derived bound fails"), 3, {
             "error": "InternalValidationFailure",
             "witness": None,
             "detail": "derived bound fails",
         }),
     ],
-    ids=["missing-file", "not-a-lattice", "bad-schema", "equivalence", "validation"],
+    ids=[
+        "missing-file", "not-a-lattice", "bad-schema", "string-document", "string",
+        "equivalence", "validation",
+    ],
 )
 def test_main_error_payloads(
     capsys, monkeypatch, tmp_path, fixtures_dir, document, patch, code, payload
 ):
     from sharplat import predicates
 
-    if isinstance(document, str):
-        path = fixtures_dir / f"{document}.json"
+    if isinstance(document, Path):
+        path = fixtures_dir / document
     else:
         path = tmp_path / "input.json"
         if document is not None:
@@ -600,6 +578,9 @@ def test_main_error_payloads(
     if patch is not None:
         monkeypatch.setattr(predicates, "sharpness_report", _raise_from_report(patch))
     assert_payload(capsys, ["report", str(path), "--sharp"], code, payload)
+    if payload.get("error") == "BadSchema":
+        schema = {"valid": False, "stage": "schema", "detail": payload["detail"]}
+        assert_payload(capsys, ["validate", str(path)], code, schema)
 
 
 @pytest.mark.parametrize("below", [[], ["sub"]], ids=["file", "under-a-file"])

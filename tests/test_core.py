@@ -8,6 +8,7 @@ import pytest
 from conftest import POSET_P, SPLIT5
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import stable_topological_order, triple_scan
 
 from sharplat import enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import (
@@ -20,7 +21,6 @@ from sharplat.core import (
 )
 from sharplat.errors import (
     BadSchema,
-    InternalValidationFailure,
     NoIdentity,
     NotALattice,
     NotAPartialOrder,
@@ -170,16 +170,6 @@ def test_mult_diagnostics_are_exact(doc, message):
     assert parse_poset(doc).names == ("0", "1")
 
 
-@pytest.mark.parametrize("parse", [parse_poset, parse_lattice])
-def test_invalid_json_text_diagnostic(parse):
-    text = "{not json"
-    with pytest.raises(json.JSONDecodeError) as decode:
-        json.loads(text)
-    with pytest.raises(BadSchema) as err:
-        parse(text)
-    assert str(err.value) == f"not valid JSON: {decode.value}"
-
-
 def _below(n, pairs):
     return [[int(i == j or (i, j) in pairs) for j in range(n)] for i in range(n)]
 
@@ -287,48 +277,6 @@ def test_one_element_lattice_validates():
     assert L.mult == L.residuals == ((0,),)
 
 
-def _triple_scan_oracle(poset, mult):
-    """The validator as a plain triple scan: every axiom checked triple
-    by triple, in the validator's order, raising on the first
-    violation."""
-    n = poset.size
-    joins, meets, leq = poset.joins, poset.meets, poset.leq
-    top = n - 1
-    for x in range(n):
-        for y in range(x + 1, n):
-            if mult[x][y] != mult[y][x]:
-                raise NotCommutative(f"{x}*{y} != {y}*{x}", witness=(x, y))
-    for x in range(n):
-        if mult[top][x] != x:
-            raise NoIdentity(f"top*{x} != {x}", witness=(x,))
-    for x in range(n):
-        if mult[x][0] != 0:
-            raise NotDistributive(
-                f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
-            )
-    for x in range(n):
-        for y in range(n):
-            xy = mult[x][y]
-            for z in range(n):
-                if mult[xy][z] != mult[x][mult[y][z]]:
-                    raise NotAssociative(
-                        f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
-                    )
-    for a in range(n):
-        for b in range(n):
-            for c in range(b + 1, n):
-                if mult[a][joins[b][c]] != joins[mult[a][b]][mult[a][c]]:
-                    raise NotDistributive(
-                        f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}", witness=(a, b, c)
-                    )
-    for x in range(n):
-        for y in range(n):
-            if not leq[mult[x][y]][meets[x][y]]:
-                raise InternalValidationFailure(
-                    f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
-                )
-
-
 # every 11th of the 442 structures on P: 41 of them, 18,368 changed
 # tables, about a second
 P_STRIDE = 11
@@ -371,7 +319,7 @@ def test_single_cell_changes_fail_as_the_triple_scan_does(
                         if symmetric:
                             mult[y][x] = v
                         mult = tuple(tuple(row) for row in mult)
-                        expected = _outcome(_triple_scan_oracle, L.poset, mult)
+                        expected = _outcome(triple_scan, L.poset, mult)
                         assert _outcome(FiniteMultLattice, L.poset, mult) == expected
                         seen.add(expected and expected[0])
     assert seen == {
@@ -507,26 +455,10 @@ def test_mask_tables_match_scans_on_labelled_orders(leq):
     _assert_tables_match_scan(leq)
 
 
-def _canonical_order_scan(leq):
-    """The list scan canonical_permutation replaced: repeatedly place
-    the first remaining element whose strict predecessors are placed."""
-    n = len(leq)
-    placed = []
-    remaining = list(range(n))
-    while remaining:
-        i = next(
-            i for i in remaining
-            if all(j in placed or not leq[j][i] for j in range(n) if j != i)
-        )
-        placed.append(i)
-        remaining.remove(i)
-    return placed
-
-
 @settings(deadline=None)
 @given(leq=labelled_orders())
 def test_canonical_permutation_matches_list_scan(leq):
-    assert canonical_permutation(_masks(zip(*leq))) == _canonical_order_scan(leq)
+    assert canonical_permutation(_masks(zip(*leq))) == stable_topological_order(leq)
 
 
 def test_canonical_permutation_rejects_a_cycle():

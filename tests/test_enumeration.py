@@ -1,15 +1,15 @@
 """The structure enumerator, its oracle, and censuses."""
 
 import tracemalloc
-from itertools import islice, product
+from itertools import islice
 
 import pytest
 from conftest import POSET_P, SPLIT5
+from oracles import structures_by_sweep
 
 from sharplat import enumeration, predicates
 from sharplat.core import FiniteMultLattice
 from sharplat.enumeration import (
-    brute_force_structures,
     census,
     chain_poset,
     diamond_poset,
@@ -35,9 +35,9 @@ def test_diamond_poset_shapes():
         diamond_poset(0)
 
 
-# counts pinned from the naive filter-every-table oracle (n <= 4), the
-# interior-cell sweep (n = 5), two-run determinism (n = 6) and the
-# figures the benchmark's report-small and census workloads check (n = 7, 8)
+# counts pinned from the interior-cell sweep (n <= 5), two-run
+# determinism (n = 6) and the figures the benchmark's report-small and
+# census workloads check (n = 7, 8); the t-norm oracle checks all of them
 EXPECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94, 7: 451, 8: 2386}
 EXPECTED_SHARP = {2: 1, 3: 2, 4: 5, 5: 13, 6: 39, 7: 123, 8: 422}
 
@@ -68,6 +68,16 @@ def test_chain9_census_counts():
     )
 
 
+@pytest.mark.slow
+def test_chain10_census_counts():
+    # 86,417 structures, the largest census pinned; the t-norm oracle
+    # confirms the 13,775 domains (chain 9) independently
+    result = census(chain_poset(10))
+    assert (result.total, result.sharp, result.domains, result.all_principal) == (
+        86417, 5891, 13775, 1
+    )
+
+
 def test_chain3_structures_are_the_two_nilpotency_classes(census_structures):
     tables = [L.mult for L in census_structures["chain3"]]
     assert tables == [
@@ -79,14 +89,12 @@ def test_chain3_structures_are_the_two_nilpotency_classes(census_structures):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerator_matches_naive_oracle_on_chains(n, census_structures):
     fast = [L.mult for L in census_structures[f"chain{n}"]]
-    slow = [L.mult for L in brute_force_structures(chain_poset(n))]
-    assert fast == slow  # exhaustive, duplicate-free, same order
+    assert fast == structures_by_sweep(chain_poset(n))  # same tables, same order
 
 
 def test_enumerator_matches_naive_oracle_on_diamond(census_structures):
     fast = [L.mult for L in census_structures["diamond2"]]
-    slow = [L.mult for L in brute_force_structures(diamond_poset(2))]
-    assert fast == slow
+    assert fast == structures_by_sweep(diamond_poset(2))
     assert len(fast) == 1  # multiplication is forced to be the meet
 
 
@@ -95,29 +103,9 @@ def test_diamond3_admits_no_structure(census_structures):
     assert census_structures["diamond3"] == []
 
 
-def _interior_sweep(poset):
-    """Every value assignment of the interior products (identity and
-    bottom rows are forced by the axioms), filtered by the validator."""
-    n = poset.size
-    cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-    valid = []
-    for values in product(range(n), repeat=len(cells)):
-        table = [[0] * n for _ in range(n)]
-        for x in range(n):
-            table[n - 1][x] = table[x][n - 1] = x
-        for (i, j), v in zip(cells, values):
-            table[i][j] = table[j][i] = v
-        try:
-            valid.append(FiniteMultLattice(poset, table))
-        except SharplatError:
-            continue
-    valid.sort(key=FiniteMultLattice.flat_mult)
-    return [L.mult for L in valid]
-
-
 def test_chain5_count_against_interior_cell_sweep(census_structures):
     """Second oracle for the 22."""
-    assert _interior_sweep(chain_poset(5)) == [
+    assert structures_by_sweep(chain_poset(5)) == [
         L.mult for L in census_structures["chain5"]
     ]
 
@@ -127,7 +115,7 @@ def test_split5_against_interior_cell_sweep(census_structures):
     # the top
     structures = [L.mult for L in census_structures["split5"]]
     assert len(structures) == 4
-    assert _interior_sweep(SPLIT5) == structures
+    assert structures_by_sweep(SPLIT5) == structures
 
 
 def test_stream_is_duplicate_free_and_lex_sorted(census_structures):

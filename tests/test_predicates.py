@@ -1,20 +1,24 @@
 """Element/lattice predicates, sharpness, and the claim audit."""
 
 import gc
+import importlib
 import json
+import pkgutil
 import weakref
 from collections import Counter
 
 import pytest
+from conftest import nil_document, product_document, valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import factorization_witnesses
 
+import sharplat
 from sharplat import cli, constructions, enumeration, gallery, parse_lattice, predicates
 from sharplat.core import FiniteMultLattice
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
     element_profile,
-    factorization_witnesses,
     is_pseudo_dedekind,
     lattice_profile,
     maximal_elements,
@@ -176,38 +180,6 @@ def test_factorization_witnesses_are_factorizations(chain3_nil, diamond):
             assert L.le(a1, b1) and L.le(a2, b2)
 
 
-def _chain_document(n, mult):
-    leq = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
-    names = ["0", *(f"c{i}" for i in range(1, n - 1)), "1"]
-    return {"elements": names, "leq": leq, "mult": mult}
-
-
-def _valuation_chain(n):
-    # m^i * m^j = m^(i+j), or 0 past the end: sharp.  Id i is
-    # m^(n-1-i), so the product of ids i and j is id i + j - (n - 1).
-    mult = [[max(i + j - (n - 1), 0) for j in range(n)] for i in range(n)]
-    return parse_lattice(_chain_document(n, mult))
-
-
-def _nil_chain(n):
-    # interior products all 0: not sharp once n >= 4
-    top = n - 1
-    mult = [[j if i == top else i if j == top else 0 for j in range(n)]
-            for i in range(n)]
-    return parse_lattice(_chain_document(n, mult))
-
-
-def _product(A, B):
-    pairs = [(a, b) for a in A.elements() for b in B.elements()]
-    return parse_lattice({
-        "elements": [f"{A.names[a]},{B.names[b]}" for a, b in pairs],
-        "leq": [[int(A.le(a, c) and B.le(b, d)) for c, d in pairs]
-                for a, b in pairs],
-        "mult": [[pairs.index((A.mul(a, c), B.mul(b, d))) for c, d in pairs]
-                 for a, b in pairs],
-    })
-
-
 def _without_residuals(L):
     """A copy of L with no residual table: reading it raises."""
     twin = FiniteMultLattice.__new__(FiniteMultLattice)
@@ -225,11 +197,13 @@ def test_table_definition_route_matches_full_scan(
     # route never reads the residual table the other three routes read
     chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
     larger = [
-        _valuation_chain(8),
-        _valuation_chain(16),
-        _nil_chain(10),
-        _product(_valuation_chain(4), _valuation_chain(3)),
-        _product(gallery.nonsharp5(), gallery.chain3_nil()),
+        parse_lattice(valuation_document(8)),
+        parse_lattice(valuation_document(16)),
+        parse_lattice(nil_document(10)),
+        parse_lattice(product_document(valuation_document(4), valuation_document(3))),
+        parse_lattice(product_document(
+            gallery.nonsharp5().serialize(), gallery.chain3_nil().serialize()
+        )),
     ]
     groups = [*census_structures.values(), chain7, poset_p_structures, larger]
     sharp = not_sharp = 0
@@ -255,7 +229,7 @@ def test_factorization_witnesses_match_fixture(fixtures_dir):
     lattices = {
         name: parse_lattice(doc) for name, doc in gallery.gallery_documents().items()
     }
-    lattices["valuation8"] = _valuation_chain(8)
+    lattices["valuation8"] = parse_lattice(valuation_document(8))
     assert list(pinned) == list(lattices)
     assert sum(len(pinned[name]) for name in gallery.gallery_documents()) == 1383
     for name, L in lattices.items():
@@ -263,23 +237,17 @@ def test_factorization_witnesses_match_fixture(fixtures_dir):
         assert [[list(k), list(v)] for k, v in witnesses.items()] == pinned[name], name
 
 
-def test_factorization_witnesses_are_built_on_request(
-    monkeypatch, capsys, fixtures_dir
-):
-    argv = ["report", str(fixtures_dir / "sharp_chain5_01.json")]
-    expected_census = enumeration.census(enumeration.chain_poset(6)).to_dict()
-    assert cli.main(argv) == 0
-    expected_report = capsys.readouterr().out
+def test_factorization_witnesses_are_built_on_request():
+    # the full scan lives only among the tests' oracles: no runtime
+    # module holds it, so no census or report can build the witnesses
+    modules = [sharplat] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(sharplat.__path__, "sharplat.")
+    ]
+    assert predicates in modules
+    assert not any(hasattr(m, "factorization_witnesses") for m in modules)
 
-    def no_scan(L):
-        raise AssertionError("factorization witnesses were built")
-
-    monkeypatch.setattr(predicates, "factorization_witnesses", no_scan)
-    assert enumeration.census(enumeration.chain_poset(6)).to_dict() == expected_census
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == expected_report
-
-    L = _valuation_chain(8)
+    L = parse_lattice(valuation_document(8))
     report = sharpness_report(L)
     assert report == sharpness_report(L)
     assert hash(report) == hash(sharpness_report(L))
@@ -466,7 +434,8 @@ def test_audit_verified_nonvacuously_on_sharp_locals(census_structures):
 def test_local_join_representation_on_sharp_valuation_chain32():
     # a sharp local chain with 32 join-principal elements, far past any
     # subset search
-    record = theorem_audit(_valuation_chain(32)).record("local_join_representation")
+    L = parse_lattice(valuation_document(32))
+    record = theorem_audit(L).record("local_join_representation")
     assert record.status == "verified" and not record.vacuous
 
 
@@ -505,10 +474,7 @@ def test_prufer_iff_locally_totally_ordered(census_structures):
 
 def _report_documents():
     """Every gallery document and the valuation 16-chain."""
-    docs = dict(gallery.gallery_documents())
-    mult = [[max(i + j - 15, 0) for j in range(16)] for i in range(16)]
-    docs["valuation16"] = _chain_document(16, mult)
-    return docs
+    return {**gallery.gallery_documents(), "valuation16": valuation_document(16)}
 
 
 def test_report_sections_equal_the_standalone_functions(census_structures):
