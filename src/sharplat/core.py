@@ -20,7 +20,7 @@ loader, so both report the same schema diagnostics.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -212,7 +212,8 @@ class FinitePoset(_Order):
     ``names`` are distinct labels; ``leq`` is the full order relation;
     ``up`` and ``down`` are each element's up-set and down-set masks,
     ``lower_covers`` and ``upper_covers`` its neighbours in the Hasse
-    diagram, as tuples of ids in ascending order.
+    diagram, as tuples of ids in ascending order; ``incomparable``
+    holds the incomparable pairs (b, c), b < c, in row-major order.
     The constructor validates the partial-order and lattice axioms and
     requires canonical element order (bottom id 0, top id size-1,
     topological); the parsing helpers canonicalize raw input first.
@@ -220,7 +221,7 @@ class FinitePoset(_Order):
 
     __slots__ = (
         "size", "names", "leq", "up", "down", "lower_covers", "upper_covers",
-        "joins", "meets",
+        "incomparable", "joins", "meets",
     )
 
     def __init__(self, names: Iterable[str], leq) -> None:
@@ -240,9 +241,13 @@ class FinitePoset(_Order):
         self.up, self.down = tuple(up), tuple(down)
         self.lower_covers = _covers(down, up)
         self.upper_covers = _covers(up, down)
+        everything = (1 << n) - 1
+        self.incomparable = tuple(
+            (b, c) for b in range(n)
+            for c in _bits((everything ^ (up[b] | down[b])) >> b << b)
+        )
         self.joins = _bound_table(up, "upper", "least")
         self.meets = _bound_table(down, "lower", "greatest")
-        everything = (1 << n) - 1
         if up[0] != everything:
             raise InternalValidationFailure("carrier not in canonical order: bottom")
         if down[n - 1] != everything:
@@ -335,13 +340,12 @@ class FiniteMultLattice(_Order):
     equivalent to distributivity over arbitrary joins.
 
     Once the first three laws hold, no row (x, y) with x or y in
-    {0, top} is the first to fail, so only interior rows are compared:
+    {0, top} is the first to fail, so only interior rows are read:
     0 absorbs and top is the identity on either side, so associativity
     and the derived bound hold there, and distributivity when a is 0
     or top or b = 0 (a(0 v c) = ac = 0 v ac); a failure at (a, top, c)
-    is the law at (a, c, top), in the earlier row (a, c).  Only the
-    first failing row is searched, for the least witness the full
-    triple scan names.
+    is the law at (a, c, top), in the earlier row (a, c).  So the
+    witness is the least one the full triple scan names.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -361,30 +365,36 @@ class FiniteMultLattice(_Order):
             raise BadSchema("mult entries must be ints")
         if any(min(row) < 0 or max(row) >= n for row in mult):
             raise BadSchema("mult entries out of range")
+        self._build(poset, mult, dict(provenance) if provenance else {})
+
+    def _build(self, poset: FinitePoset, mult: tuple, provenance: dict) -> None:
+        """Store an n x n tuple of in-range ints and validate it."""
         self.poset = poset
-        self.size = n
+        self.size = poset.size
         self.names = poset.names
         self.leq = poset.leq
         self.joins = poset.joins
         self.meets = poset.meets
         self.mult = mult
-        self.provenance = dict(provenance) if provenance else {}
+        self.provenance = provenance
         self._validate()
         self.residuals = self._residual_table()
 
     def _validate(self) -> None:
         """Check the axioms in order, raising on the least witness.
-        Commutativity is one compare with the transpose.  Associativity
-        and distributivity compare whole rows: take[y](row_x) is the row
-        z -> x(yz) and join_take[y](row_x) the row z -> x(y v z).  On
-        the first failing distributivity row (a, b) the least failing z
-        exceeds b, since the law is symmetric in b and z and trivial at
-        z = b, so it is the least triple (a, b, c) with b < c."""
-        n = self.size
-        mult = self.mult
-        joins = self.joins
-        meets = self.meets
-        top = n - 1
+        Commutativity is one compare with the transpose.  Two lemmas
+        decide the other two laws from fewer reads, and only when one
+        fails are the triples scanned for the least witness:
+
+        - given commutativity, the rows (x, y) with x <= y decide
+          associativity: for u <= v <= w, rows (u, v) at w and (u, w)
+          at v equate the three products of u, v and w.  take[y](row_x)
+          is the row z -> x(yz);
+        - for b <= c the law a(b v c) = ab v ac says ab <= ac, so
+          distributivity is every row monotone along the covers plus
+          the law on the incomparable pairs."""
+        n, top = self.size, self.size - 1
+        mult, joins, meets, leq = self.mult, self.joins, self.meets, self.leq
         if mult != tuple(zip(*mult)):
             x, y = next((x, y) for x in range(n) for y in range(x + 1, n)
                         if mult[x][y] != mult[y][x])
@@ -398,34 +408,33 @@ class FiniteMultLattice(_Order):
                     f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
                 )
         inner = range(1, top)  # empty below n = 3
+        rows = mult[1:top]
         take = [itemgetter(*row) for row in mult]
-        for x, row_x in enumerate(mult[1:top], 1):
-            for y in inner:
-                xy = row_x[y]
-                if mult[xy] != take[y](row_x):
-                    z = next(z for z in range(n)
-                             if mult[xy][z] != row_x[mult[y][z]])
+        upper = self.poset.upper_covers
+        if not (
+            all(mult[row_x[y]] == take[y](row_x)
+                for x, row_x in enumerate(rows, 1) for y in range(x, top))
+            and all(leq[row_a[b]][row_a[c]]
+                    for row_a in rows for b, cs in enumerate(upper) for c in cs)
+            and all(row_a[joins[b][c]] == joins[row_a[b]][row_a[c]]
+                    for row_a in rows for b, c in self.poset.incomparable)
+        ):
+            for x, y, z in product(inner, inner, range(n)):
+                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
                     raise NotAssociative(
                         f"({x}*{y})*{z} != {x}*({y}*{z})", witness=(x, y, z)
                     )
-        join_take = [itemgetter(*row) for row in joins]
-        for a, row_a in enumerate(mult[1:top], 1):
-            for b in inner:
-                ab = row_a[b]
-                if join_take[b](row_a) != take[a](joins[ab]):
-                    c = next(c for c in range(n)
-                             if row_a[joins[b][c]] != joins[ab][row_a[c]])
+            for a, b, c in product(inner, inner, range(n)):
+                if c > b and mult[a][joins[b][c]] != joins[mult[a][b]][mult[a][c]]:
                     raise NotDistributive(
                         f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
                         witness=(a, b, c),
                     )
-        for x in inner:
-            for y in inner:
-                if not self.leq[mult[x][y]][meets[x][y]]:
-                    raise InternalValidationFailure(
-                        f"derived bound xy <= x^y fails at ({x}, {y})",
-                        witness=(x, y),
-                    )
+        for x, y in product(inner, inner):
+            if not leq[mult[x][y]][meets[x][y]]:
+                raise InternalValidationFailure(
+                    f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
+                )
 
     def _residual_table(self):
         """(y : x) for all y, x.  On a valid table {a : ax <= y} holds 0
@@ -502,6 +511,14 @@ class FiniteMultLattice(_Order):
 
     def __repr__(self) -> str:
         return f"FiniteMultLattice({list(self.names)!r})"
+
+
+def _trusted_lattice(poset: FinitePoset, mult) -> FiniteMultLattice:
+    """The lattice of an n x n table of in-range ints, such as the
+    search's: no shape, type or range check, but full validation."""
+    lattice = FiniteMultLattice.__new__(FiniteMultLattice)
+    lattice._build(poset, tuple(map(tuple, mult)), {})
+    return lattice
 
 
 def _require(condition: bool, message: str) -> None:

@@ -1,19 +1,25 @@
 """Enumerate every multiplicative-lattice structure on a finite poset.
 
 The search fixes the forced cells (identity row, bottom row), walks the
-free cells (unordered pairs of interior elements) row-major, tries each
-cell's candidates in ascending order under the bound xy <= x meet y,
-and checks each assignment incrementally: only the associativity and
-binary distributivity triples that read the new cell are examined, since
-every other determined triple was checked when its last cell was set.
-Two indexes find those triples without scanning the table: the free
-cells that hold each value, kept exact on assign and unassign, and the
-pairs with each join, a poset constant.  Every leaf is re-validated from
+free cells (unordered pairs of interior elements) row-major, and tries
+each cell's candidates in ascending order between bounds that keep each
+row monotone along the covers, as distributivity requires: a value for
+(i, j) lies above ic and cj for c covered by j and by i, and below i
+meet j and the same products over the upper covers, counting only the
+cells already set, so the later cell of each cover pair is bounded by
+the other in any walk order.  Each assignment is checked incrementally:
+only the associativity and binary distributivity triples that read the
+new cell are examined, since every other determined triple was checked
+when its last cell was set, and distributivity only on incomparable
+pairs, since on comparable ones it is monotonicity.  Two indexes find
+those triples without scanning the table: the free cells that hold each
+value, kept exact on assign and unassign, and the incomparable pairs
+with each join, a poset constant.  Every leaf is re-validated from
 scratch by the core validator, so correctness never depends on the
-propagation being complete.  The walk is row-major so that leaves
-arrive in ``flat_mult`` order: the table is symmetric with fixed forced
-cells, so the first free cell where two tables differ is the first
-position where their row-major tables differ.
+propagation being complete.  The walk is row-major so that leaves arrive
+in ``flat_mult`` order: the table is symmetric with fixed forced cells,
+so the first free cell where two tables differ is the first position
+where their row-major tables differ.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import predicates
-from .core import FiniteMultLattice, FinitePoset, _bits
+from .core import FiniteMultLattice, FinitePoset, _bits, _trusted_lattice
 from .errors import SharplatError, SizeTooSmall
 
 _MIDDLE_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -78,35 +84,38 @@ def _free_cells(poset: FinitePoset) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, top) for j in range(i, top)]
 
 
-def _consistent(table, joins, holders, pairs_by_join, n, i, j) -> bool:
+def _consistent(table, joins, holders, pairs_by_join, incomparable, n, i, j) -> bool:
     """Associativity and binary distributivity on the determined triples
     that read the newly assigned cell (i, j) = (j, i).
 
     Every other determined triple was checked when its last cell was
     set.  The table is symmetric, so the associativity triple (x, y, z)
     reads the same cells as (z, y, x): the new cell needs checking only
-    in the (x, y) and (xy, z) positions.
+    in the (x, y) and (xy, z) positions.  Distributivity is checked on
+    incomparable pairs only (z in ``incomparable[b]``): for b <= c,
+    a(b v c) = ab v ac says ab <= ac, which the search's bounds keep.
 
     ``holders[a]`` holds every free cell (x, y) with xy = a.  That
     reaches every triple that reads the new cell as (xy)b: a is
     interior, so the only forced cells holding it are (1, a) and
     (a, 1), whose triples always hold.  ``pairs_by_join[b]`` holds the
-    pairs x < y with x v y = b: a(x v y) = ax v ay is symmetric in x
-    and y and trivial for x = y, so these are all the pairs whose law
-    reads the new cell as a(x v y).
+    incomparable pairs x < y with x v y = b: a(x v y) = ax v ay is
+    symmetric in x and y, so these are all the pairs whose law reads
+    the new cell as a(x v y) and is not implied by monotonicity.
     """
     for a, b in {(i, j), (j, i)}:
         row_a, row_b = table[a], table[b]
         ab = row_a[b]
         row_ab = table[ab]
+        # (ab)z = a(bz)
         for z in range(n):
-            # (ab)z = a(bz)
             bz = row_b[z]
             if bz is not None:
                 t, u = row_ab[z], row_a[bz]
                 if t is not None and u is not None and t != u:
                     return False
-            # a(b v z) = ab v az
+        # a(b v z) = ab v az
+        for z in incomparable[b]:
             az, abz = row_a[z], row_a[joins[b][z]]
             if az is not None and abz is not None and abz != joins[ab][az]:
                 return False
@@ -136,16 +145,17 @@ def _search(poset: FinitePoset, cells):
         table[top][x] = table[x][top] = x
         table[0][x] = table[x][0] = 0
     holders: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    below = [list(_bits(d)) for d in poset.down]
-    pairs_by_join = [
-        [(x, y) for x in range(n) for y in range(x + 1, n) if joins[x][y] == b]
-        for b in range(n)
-    ]
+    between = [[list(_bits(u & d)) for d in poset.down] for u in poset.up]
+    incomparable = [[z for z in range(n) if not (poset.le(b, z) or poset.le(z, b))]
+                    for b in range(n)]
+    pairs_by_join = [[(x, y) for x, y in poset.incomparable if joins[x][y] == b]
+                     for b in range(n)]
+    lower, upper = poset.lower_covers, poset.upper_covers
 
     def backtrack(k: int):
         if k == len(cells):
             try:
-                lattice = FiniteMultLattice(poset, table)
+                lattice = _trusted_lattice(poset, table)
             except SharplatError:
                 # propagation admitted a bad table; the validator has the
                 # final word
@@ -154,10 +164,19 @@ def _search(poset: FinitePoset, cells):
             return
         i, j = cells[k]
         cell = {(i, j), (j, i)}
-        for v in below[meets[i][j]]:
+        lb, ub = 0, meets[i][j]
+        for a, b in (i, j), (j, i):
+            row = table[a]
+            for c in lower[b]:
+                if row[c] is not None:
+                    lb = joins[lb][row[c]]
+            for c in upper[b]:
+                if row[c] is not None:
+                    ub = meets[ub][row[c]]
+        for v in between[lb][ub]:
             table[i][j] = table[j][i] = v
             holders[v] |= cell
-            if _consistent(table, joins, holders, pairs_by_join, n, i, j):
+            if _consistent(table, joins, holders, pairs_by_join, incomparable, n, i, j):
                 yield from backtrack(k + 1)
             holders[v] -= cell
         table[i][j] = table[j][i] = None

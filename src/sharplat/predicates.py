@@ -367,34 +367,28 @@ class SharpnessReport:
 
 def _sharp_by_definition(L) -> bool:
     """The definition as a table check: for every b and every a1 a2 <= b
-    there are b1 >= a1 and b2 >= a2 with b1 b2 = b.  Element sets are
-    bitmasks, each built from its neighbours' along the covers in
-    O(n^2 * covers): ``need`` from the lower covers of b, ``reach``
-    from the upper covers of a1.  Reads ``mult`` and the poset's
-    down-set masks and covers, never the residual table the other
-    three routes read."""
+    there are b1 >= a1 and b2 >= a2 with b1 b2 = b, that is, up[a1 a2]
+    lies inside U(a1, a2) = {b1 b2 : b1 >= a1, b2 >= a2} for every pair.
+    A pair above (a1, a2) is it or lies above a cover in one coordinate,
+    so U(a1, a2) is {a1 a2} with U(c, a2) and U(a1, d) for c covering
+    a1 and d covering a2: a bitmask recurrence from the top id down over
+    the symmetric half a1 <= a2, in O(n^2 * covers).  Reads ``mult`` and
+    the poset, never the residual table the other three routes read."""
     n = L.size
     mult, poset = L.mult, L.poset
-    down, lower, upper = poset.down, poset.lower_covers, poset.upper_covers
-    ids = range(n)
-    cover = [[0] * n for _ in ids]  # [b][b1]: a2 <= some b2 with b1 b2 = b
-    need = [[0] * n for _ in ids]  # [b][a1]: a2 with a1 a2 = b, then <= b
-    for x, row in enumerate(mult):
-        for y, xy in enumerate(row):
-            cover[xy][x] |= down[y]
-            need[xy][x] |= 1 << y
-    for b, cs in enumerate(lower):  # ascending ids: lower covers first
-        for c in cs:
-            need[b] = [u | v for u, v in zip(need[b], need[c])]
-    for cb, nb in zip(cover, need):
-        reach = [0] * n  # [a1]: a2 <= some b2 with b1 b2 = b, b1 >= a1
-        for a1 in reversed(ids):  # upper covers first
-            r = cb[a1]
-            for c in upper[a1]:
-                r |= reach[c]
-            if nb[a1] & ~r:
+    up, upper = poset.up, poset.upper_covers
+    reach = [[0] * n for _ in range(n)]
+    for a1 in reversed(range(n)):
+        row, covers1 = mult[a1], upper[a1]
+        for a2 in reversed(range(a1, n)):
+            u = 1 << row[a2]
+            for c in covers1:
+                u |= reach[c][a2]
+            for d in upper[a2]:
+                u |= reach[a1][d]
+            if up[row[a2]] & ~u:
                 return False
-            reach[a1] = r
+            reach[a1][a2] = reach[a2][a1] = u
     return True
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import pytest
 from oracles import structures_by_sweep
 
 from sharplat import constructions, enumeration, predicates
@@ -23,7 +22,6 @@ from sharplat.exemplars import (
     ideal_member,
     ideal_product,
     ideal_residual,
-    r1_le,
     r1_mult,
     r1_residual,
     r1_selftest,

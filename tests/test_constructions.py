@@ -2,7 +2,7 @@
 
 import pytest
 
-from sharplat import constructions, enumeration, predicates
+from sharplat import constructions, predicates
 from sharplat.constructions import localize, localize_element, quotient
 from sharplat.errors import (
     DegenerateQuotient,

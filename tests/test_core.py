@@ -290,40 +290,84 @@ def _outcome(build, *args):
     return None
 
 
-def test_single_cell_changes_fail_as_the_triple_scan_does(
+def _changed(mult, cells, symmetric=True):
+    """``mult`` with each (x, y, v) of ``cells`` written at (x, y), and
+    at (y, x) too when ``symmetric``."""
+    out = [list(row) for row in mult]
+    for x, y, v in cells:
+        out[x][y] = v
+        if symmetric:
+            out[y][x] = v
+    return tuple(map(tuple, out))
+
+
+def _single_cell_changes(mult):
+    n = len(mult)
+    for x in range(n):
+        for y in range(x, n):
+            for v in range(n):
+                if v != mult[x][y]:
+                    for symmetric in (True, False) if x != y else (True,):
+                        yield _changed(mult, [(x, y, v)], symmetric)
+
+
+def _multi_cell_changes(mult, rng, count):
+    """``count`` symmetric changes of two or three interior cells each,
+    drawn from ``rng``."""
+    n = len(mult)
+    cells = [(x, y) for x in range(1, n - 1) for y in range(x, n - 1)]
+    for _ in range(count):
+        picked = rng.sample(cells, rng.choice((2, 3)))
+        yield _changed(mult, [
+            (x, y, rng.choice([v for v in range(n) if v != mult[x][y]]))
+            for x, y in picked
+        ])
+
+
+# seeded changes of two or three cells per multi-cell base
+MULTI_CHANGES = 40
+
+
+def test_cell_changes_fail_as_the_triple_scan_does(
     census_structures, poset_p_structures
 ):
     # every single-cell change of every small structure, made on both
-    # sides of the diagonal and on one side only: the validator raises
-    # the class, message and witness the triple scan raises, or accepts
-    # when the scan does; split5 and P, where the covers branch, pin
-    # the rows the validator skips off chains too
-    bases = [
+    # sides of the diagonal and on one side only, and seeded symmetric
+    # changes of two or three interior cells, which can break a law in
+    # more than one place: the validator raises the class, message and
+    # witness the triple scan raises, or accepts when the scan does.
+    # split5, P and the diamonds, where the covers branch, pin the rows
+    # the validator skips and its incomparable-pair law off chains too;
+    # M3 (diamond 3) carries no structure, so its meet table stands in
+    single = [
         *census_structures["chain4"],
         *census_structures["chain5"],
         *census_structures["split5"],
         *poset_p_structures[::P_STRIDE],
         *all_gallery(),
     ]
-    seen = set()
-    for L in bases:
-        n = L.size
-        for x in range(n):
-            for y in range(x, n):
-                for v in range(n):
-                    if v == L.mult[x][y]:
-                        continue
-                    for symmetric in (True, False) if x != y else (True,):
-                        mult = [list(row) for row in L.mult]
-                        mult[x][y] = v
-                        if symmetric:
-                            mult[y][x] = v
-                        mult = tuple(tuple(row) for row in mult)
-                        expected = _outcome(triple_scan, L.poset, mult)
-                        assert _outcome(FiniteMultLattice, L.poset, mult) == expected
-                        seen.add(expected and expected[0])
+    m3 = enumeration.diamond_poset(3)
+    multi = [
+        *((L.poset, L.mult) for key in ("chain5", "chain6", "diamond2", "split5")
+          for L in census_structures[key]),
+        *((L.poset, L.mult) for L in poset_p_structures[::P_STRIDE]),
+        (m3, m3.meets),
+    ]
+    rng = random.Random(18)
+    changes = [
+        *(("single", L.poset, changed)
+          for L in single for changed in _single_cell_changes(L.mult)),
+        *(("multi", poset, changed) for poset, mult in multi
+          for changed in _multi_cell_changes(mult, rng, MULTI_CHANGES)),
+    ]
+    seen = {"single": set(), "multi": set()}
+    for kind, poset, mult in changes:
+        expected = _outcome(triple_scan, poset, mult)
+        assert _outcome(FiniteMultLattice, poset, mult) == expected
+        seen[kind].add(expected and expected[0])
     assert seen == {
-        None, NotCommutative, NoIdentity, NotAssociative, NotDistributive
+        "single": {None, NotCommutative, NoIdentity, NotAssociative, NotDistributive},
+        "multi": {None, NotAssociative, NotDistributive},
     }
 
 

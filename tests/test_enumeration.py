@@ -160,26 +160,52 @@ _WALK_POSETS = {
 @pytest.mark.parametrize("poset", _WALK_POSETS.values(), ids=_WALK_POSETS.keys())
 def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse):
     # every triple of a complete table was checked when its last cell
-    # was set, whatever the cell order, so leaf validation must never
-    # reject a table; the reversed walk is the (-i, -j) order, an
-    # oracle walk whose leaves arrive out of table order
+    # was set, and the bounds keep every row monotone along the covers,
+    # whatever the cell order, so leaf validation must never reject a
+    # table; the reversed walk is the (-i, -j) order, an oracle walk
+    # whose leaves arrive out of table order and whose upper covers are
+    # set before their lower ones
     expected = [L.flat_mult() for L in enumerate_structures(poset)]
-    rejected = []
-    validate = enumeration.FiniteMultLattice
+    built, rejected = [], []
+    build = enumeration._trusted_lattice
 
-    def counting_validate(poset, table):
+    def counting_build(poset, table):
         try:
-            return validate(poset, table)
+            built.append(build(poset, table))
         except SharplatError:
             rejected.append([row[:] for row in table])
             raise
+        return built[-1]
 
-    monkeypatch.setattr(enumeration, "FiniteMultLattice", counting_validate)
+    monkeypatch.setattr(enumeration, "_trusted_lattice", counting_build)
     cells = enumeration._free_cells(poset)
     assert cells[::-1] == sorted(cells, key=lambda c: (-c[0], -c[1]))
     found = list(enumeration._search(poset, cells[::-1] if reverse else cells))
     assert rejected == []
+    # every leaf the search yields went through the intercepted builder
+    assert [id(L) for L in found] == [id(L) for L in built]
     assert sorted(L.flat_mult() for L in found) == expected
+
+
+# candidate checks (calls of _consistent) per search, pinned: the cover
+# bounds and the incomparable-pair rule took them from 44,473, 377,097
+# and 6,546
+@pytest.mark.parametrize("poset, checks", [
+    (chain_poset(8), 18705),
+    pytest.param(chain_poset(9), 147352, marks=pytest.mark.slow),
+    (POSET_P, 2741),
+], ids=["chain8", "chain9", "P"])
+def test_candidate_check_counts(monkeypatch, poset, checks):
+    calls = []
+    consistent = enumeration._consistent
+
+    def counting_consistent(*args):
+        calls.append(None)
+        return consistent(*args)
+
+    monkeypatch.setattr(enumeration, "_consistent", counting_consistent)
+    assert sum(1 for _ in enumerate_structures(poset)) > 0
+    assert len(calls) == checks
 
 
 _CARRYING = {k: p for k, p in _WALK_POSETS.items() if k != "diamond3"}
@@ -199,16 +225,16 @@ def test_row_major_walk_meets_leaves_in_table_order(poset):
 def test_enumeration_is_lazy(monkeypatch):
     # the first five of the 13,775 chain-9 structures build five lattices
     built = []
-    validate = enumeration.FiniteMultLattice
+    build = enumeration._trusted_lattice
 
-    def counting_validate(poset, table):
+    def counting_build(poset, table):
         built.append(None)
-        return validate(poset, table)
+        return build(poset, table)
 
-    monkeypatch.setattr(enumeration, "FiniteMultLattice", counting_validate)
+    monkeypatch.setattr(enumeration, "_trusted_lattice", counting_build)
     first = list(islice(enumerate_structures(chain_poset(9)), 5))
     assert len(first) == 5
-    assert len(built) <= 5
+    assert len(built) == 5
 
 
 def test_census_memory_does_not_grow_with_structure_count():
