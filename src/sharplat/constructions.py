@@ -1,24 +1,20 @@
 """Localization at a prime element and factor (quotient) lattices.
 
-Both constructions share one builder: it materializes the carrier as a
-sub-carrier of the input lattice in canonical id order, rebuilds the
-induced structure through a projection onto that carrier, and re-runs
-full validation from scratch.  A validation failure there would mean a
-bug in the construction, so it surfaces as InternalValidationFailure
-instead of an ordinary input error.
+Both share one builder.  Each is a closure operator c on the input
+lattice L (x -> x_p, or x -> x v a), whose image is a lattice in L's
+order with L's meets and the joins c(x v y).  So the builder inherits
+the order, restricting L's ``leq`` and projecting its tables, and
+validates the multiplication (x, y) -> c(xy) from scratch.  A failure
+of either would mean a bug in the construction, so it surfaces as
+InternalValidationFailure instead of an ordinary input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ElementId, FiniteMultLattice, FinitePoset
-from .errors import (
-    DegenerateQuotient,
-    InternalValidationFailure,
-    NotPrime,
-    SharplatError,
-)
+from .core import ElementId, FiniteMultLattice, _restrict, _trusted_lattice
+from .errors import DegenerateQuotient, InternalValidationFailure, NotPrime, SharplatError
 from .predicates import prime_witness
 
 
@@ -68,17 +64,14 @@ def localize_element(
 
 
 def _sublattice(L, image, project, provenance, what):
-    """The lattice on the sub-carrier ``image`` (original ids, ascending)
-    with multiplication (x, y) -> project(xy), validated from scratch,
-    and the projection of every element of L as new ids.  ``what``
-    names the construction in an InternalValidationFailure."""
+    """The lattice on the image (original ids, ascending) of the closure
+    ``project``, multiplying by (x, y) -> project(xy), and the projection
+    of L as new ids; ``what`` names it in an InternalValidationFailure."""
     index = {old: new for new, old in enumerate(image)}
     projection = tuple(index[project(x)] for x in L.elements())
-    names = [L.names[i] for i in image]
-    leq = [[row[j] for j in image] for row in (L.leq[i] for i in image)]
-    mult = [[projection[row[j]] for j in image] for row in (L.mult[i] for i in image)]
     try:
-        lattice = FiniteMultLattice(FinitePoset(names, leq), mult, provenance)
+        poset = L.poset._closure_image(image, projection)
+        lattice = _trusted_lattice(poset, _restrict(L.mult, image, projection), provenance)
     except SharplatError as exc:
         raise InternalValidationFailure(
             f"{what} structure failed validation: {exc}", witness=exc.witness
@@ -90,7 +83,7 @@ def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     """The image lattice L_p = {x_p} with multiplication (x, y) -> (xy)_p.
 
     The carrier keeps the original element names and canonical order;
-    the result is validated from scratch.
+    the order is inherited, the multiplication validated from scratch.
     """
     _require_prime(L, p)
     return _localized(L, p)

@@ -20,7 +20,7 @@ loader, so both report the same schema diagnostics.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -43,9 +43,12 @@ _PROVENANCE_KEYS = ("localized_at", "quotient_by")
 
 
 def _masks(rel) -> list[int]:
-    """Each row of a 0/1 relation as an int: bit k of row i is rel[i][k].
-    Rows of ``leq`` are up-sets, rows of its transpose down-sets."""
-    return [sum(1 << k for k, v in enumerate(row) if v) for row in rel]
+    """Each row of a square 0/1 relation as an int: bit k of row i is
+    rel[i][k], summed by ``compress`` in C.  Rows of ``leq`` are
+    up-sets, rows of its transpose down-sets."""
+    rows = list(rel)
+    powers = [1 << k for k in range(len(rows))]
+    return [sum(compress(powers, row)) for row in rows]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -82,22 +85,21 @@ def _check_partial_order(up: list[int], down: list[int]) -> None:
 
 
 def _checked_order(names, leq) -> tuple:
-    """``leq`` as a tuple of bool rows, checked to be a partial order on
-    ``names``, with its up-set and down-set masks."""
+    """``names`` as a tuple of distinct strings, then ``leq`` as a tuple
+    of bool rows checked to be a partial order on them, with its up-set
+    and down-set masks (so a bad name is reported before a bad order)."""
+    names = tuple(str(x) for x in names)
+    if not names:
+        raise NotALattice("empty carrier has no bottom/top")
+    if len(set(names)) != len(names):
+        raise BadSchema("element names are not distinct")
     n = len(names)
     leq = tuple(tuple(bool(v) for v in row) for row in leq)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise BadSchema(f"leq must be {n}x{n}")
     up, down = _masks(leq), _masks(zip(*leq))
     _check_partial_order(up, down)
-    return leq, up, down
-
-
-def _check_names(names: tuple) -> None:
-    if not names:
-        raise NotALattice("empty carrier has no bottom/top")
-    if len(set(names)) != len(names):
-        raise BadSchema("element names are not distinct")
+    return names, leq, up, down
 
 
 def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...], ...]:
@@ -134,14 +136,29 @@ def _bound_table(up: list[int], side: str, extreme: str) -> tuple[tuple[int, ...
     return tuple(map(tuple, table))
 
 
-def _covers(masks: list[int], dual: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Lower covers from down-set ``masks`` and up-set ``dual``, upper
-    covers with the two swapped: the c in masks[b] - {b} for which
-    ``dual[c] & masks[b]`` holds just b and c, lowest id first."""
-    return tuple(
-        tuple(c for c in _bits(m & ~(1 << b)) if dual[c] & m == 1 << b | 1 << c)
-        for b, m in enumerate(masks)
-    )
+def _covers(masks: list[int], lowest: bool) -> tuple[tuple[int, ...], ...]:
+    """Covers as ascending ids, peeled from up-set ``masks`` lowest id
+    first (upper covers) or from down-set masks highest first (lower):
+    in a topological order the lowest c left in up[b] - {b} covers b,
+    and removing up[c] drops no other cover, one step per cover.  On a
+    non-canonical order each step still removes c; ``_set_order`` rejects it."""
+    out = []
+    for b, m in enumerate(masks):
+        m &= ~(1 << b)
+        found = []
+        while m:
+            c = (m & -m if lowest else m).bit_length() - 1
+            found.append(c)
+            m &= ~masks[c]
+        out.append(tuple(found if lowest else reversed(found)))
+    return tuple(out)
+
+
+def _restrict(table, image, projection) -> tuple[tuple[int, ...], ...]:
+    """The rows and columns ``image`` (two or more ids, so each pick is
+    a tuple) of ``table``, entries mapped through ``projection``."""
+    pick, new_id = itemgetter(*image), projection.__getitem__
+    return tuple(tuple(map(new_id, pick(row))) for row in pick(table))
 
 
 def canonical_permutation(down: list[int]) -> list[int]:
@@ -217,6 +234,8 @@ class FinitePoset(_Order):
     The constructor validates the partial-order and lattice axioms and
     requires canonical element order (bottom id 0, top id size-1,
     topological); the parsing helpers canonicalize raw input first.
+    A closure image (:meth:`_closure_image`) inherits its order instead
+    of checking it: the parent's ``leq`` restricted, its tables projected.
     """
 
     __slots__ = (
@@ -225,37 +244,51 @@ class FinitePoset(_Order):
     )
 
     def __init__(self, names: Iterable[str], leq) -> None:
-        names = tuple(str(x) for x in names)
-        _check_names(names)
-        leq, up, down = _checked_order(names, leq)
-        self._set_order(names, leq, up, down)
+        names, leq, up, down = _checked_order(names, leq)
+        self._set_order(names, leq, up, down, _bound_table(up, "upper", "least"),
+                        _bound_table(down, "lower", "greatest"))
 
-    def _set_order(self, names, leq, up, down) -> None:
-        """Store a checked partial order on a carrier in canonical order,
-        given with its up-set and down-set masks, and build the covers
-        and the join and meet tables."""
+    def _set_order(self, names, leq, up, down, joins, meets) -> None:
+        """Store a canonical partial order with its up-set and down-set
+        masks and join and meet tables (``_bound_table`` of a checked
+        order, or a restriction), build the covers, check it is canonical."""
         n = len(names)
-        self.size = n
-        self.names = names
-        self.leq = leq
+        self.size, self.names, self.leq = n, names, leq
         self.up, self.down = tuple(up), tuple(down)
-        self.lower_covers = _covers(down, up)
-        self.upper_covers = _covers(up, down)
+        self.lower_covers = _covers(down, False)
+        self.upper_covers = _covers(up, True)
         everything = (1 << n) - 1
         self.incomparable = tuple(
             (b, c) for b in range(n)
             for c in _bits((everything ^ (up[b] | down[b])) >> b << b)
         )
-        self.joins = _bound_table(up, "upper", "least")
-        self.meets = _bound_table(down, "lower", "greatest")
+        self.joins, self.meets = joins, meets
         if up[0] != everything:
             raise InternalValidationFailure("carrier not in canonical order: bottom")
         if down[n - 1] != everything:
             raise InternalValidationFailure("carrier not in canonical order: top")
         if any(up_i & ((1 << i) - 1) for i, up_i in enumerate(up)):
-            raise InternalValidationFailure(
-                "carrier not in canonical order: not topological"
-            )
+            raise InternalValidationFailure("carrier not in canonical order: not topological")
+
+    def _closure_image(self, image, projection) -> "FinitePoset":
+        """The sub-poset on ``image`` (ascending ids) of the closure
+        x -> image[projection[x]]: this order restricted, its tables
+        ``_restrict``-ed.  In O(n + covers), the closure must fix ``image``
+        (so be idempotent), be extensive and be monotone along covers."""
+        leq, close = self.leq, [image[k] for k in projection]
+        for failure, witness in chain(
+            ((f"idempotent at {x}", (x,)) for k, x in enumerate(image) if projection[x] != k),
+            ((f"extensive at {x}", (x,)) for x, cx in enumerate(close) if not leq[x][cx]),
+            ((f"monotone at ({x}, {y})", (x, y)) for x, ys in enumerate(self.upper_covers)
+             for y in ys if not leq[close[x]][close[y]]),
+        ):
+            raise InternalValidationFailure(f"projection not {failure}", witness)
+        pick = itemgetter(*image)
+        leq = tuple(map(pick, pick(leq)))
+        sub = FinitePoset.__new__(FinitePoset)
+        sub._set_order(pick(self.names), leq, _masks(leq), _masks(zip(*leq)),
+                       *(_restrict(t, image, projection) for t in (self.joins, self.meets)))
+        return sub
 
     @classmethod
     def from_raw(cls, names, leq) -> tuple["FinitePoset", list[int]]:
@@ -264,16 +297,15 @@ class FinitePoset(_Order):
         Returns the poset and the permutation ``order[new_id] = old_id``
         so companion tables can be reordered the same way.
         """
-        names = tuple(str(x) for x in names)
-        leq, up, down = _checked_order(names, leq)
+        names, leq, up, down = _checked_order(names, leq)
         order = canonical_permutation(down)
-        _check_names(names)
         # masks of the relisted rows cost less than relisting the masks
         leq = tuple(tuple(leq[a][b] for b in order) for a in order)
+        up, down = _masks(leq), _masks(zip(*leq))
         poset = cls.__new__(cls)
-        poset._set_order(
-            tuple(names[o] for o in order), leq, _masks(leq), _masks(zip(*leq))
-        )
+        poset._set_order(tuple(names[o] for o in order), leq, up, down,
+                         _bound_table(up, "upper", "least"),
+                         _bound_table(down, "lower", "greatest"))
         return poset, order
 
     def is_chain(self) -> bool:
@@ -513,11 +545,11 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _trusted_lattice(poset: FinitePoset, mult) -> FiniteMultLattice:
+def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None):
     """The lattice of an n x n table of in-range ints, such as the
     search's: no shape, type or range check, but full validation."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._build(poset, tuple(map(tuple, mult)), {})
+    lattice._build(poset, tuple(map(tuple, mult)), provenance or {})
     return lattice
 
 

@@ -16,7 +16,9 @@ are meant to check (``test_oracles`` parses this file to hold that).
 - :func:`factorization_witnesses` decides the definition of sharpness
   by full scan;
 - :func:`stable_topological_order` is the interchange format's
-  canonical element order as a list scan.
+  canonical element order as a list scan;
+- :func:`masks` reads a relation's rows as bitmasks, one cell at a
+  time.
 """
 
 from itertools import product
@@ -208,3 +210,17 @@ def stable_topological_order(leq):
         placed.append(i)
         remaining.remove(i)
     return placed
+
+
+def masks(rel):
+    """Each row of a 0/1 relation as an int whose bit k is set when the
+    row's cell k holds, one cell at a time: the up-sets of ``leq``, or
+    the down-sets when given its transpose."""
+    out = []
+    for row in rel:
+        mask = 0
+        for k, v in enumerate(row):
+            if v:
+                mask += 2**k
+        out.append(mask)
+    return out

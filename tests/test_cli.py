@@ -518,6 +518,15 @@ _NO_BOTTOM = {
 }
 
 
+# a duplicated name and a non-antisymmetric order (0 and 1 are mutually
+# below each other): the schema fault is reported, not the order's
+_DUPLICATE_AND_CYCLE = {
+    "elements": ["0", "0", "1"],
+    "leq": [[1, 1, 1], [1, 1, 1], [0, 0, 1]],
+    "mult": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+}
+
+
 # fixtures/chain2.json as one JSON string value
 _CHAIN2_TEXT = (REPO_ROOT / "fixtures" / "chain2.json").read_text(encoding="utf-8")
 _NOT_AN_OBJECT = {
@@ -536,6 +545,9 @@ _NOT_AN_OBJECT = {
         }),
         ({"elements": ["0", "1"], "leq": [[1, 1], [0, 1]]}, None, 2, {
             "error": "BadSchema", "witness": None, "detail": 'missing "mult"',
+        }),
+        (_DUPLICATE_AND_CYCLE, None, 2, {
+            "error": "BadSchema", "witness": None, "detail": "element names are not distinct",
         }),
         # a JSON string is decoded once, not read as a second document
         (_CHAIN2_TEXT, None, 2, _NOT_AN_OBJECT),
@@ -556,7 +568,8 @@ _NOT_AN_OBJECT = {
         }),
     ],
     ids=[
-        "missing-file", "not-a-lattice", "bad-schema", "string-document", "string",
+        "missing-file", "not-a-lattice", "bad-schema", "schema-before-axioms",
+        "string-document", "string",
         "equivalence", "validation",
     ],
 )

@@ -1,8 +1,10 @@
 """Localization and factor-lattice constructions."""
 
 import pytest
+from conftest import POSET_P, SPLIT5
 
-from sharplat import constructions, predicates
+from sharplat import constructions, enumeration, predicates
+from sharplat.core import FinitePoset
 from sharplat.constructions import localize, localize_element, quotient
 from sharplat.errors import (
     DegenerateQuotient,
@@ -214,9 +216,51 @@ def test_builder_wraps_validation_failure(monkeypatch, diamond, build, what):
     def reject(*args, **kwargs):
         raise NotAssociative("injected", witness=(1, 2, 3))
 
-    monkeypatch.setattr(constructions, "FiniteMultLattice", reject)
+    monkeypatch.setattr(constructions, "_trusted_lattice", reject)
     with pytest.raises(InternalValidationFailure) as err:
         build(diamond, diamond.id_of("p"))
     assert str(err.value) == f"{what} structure failed validation: injected"
     assert err.value.witness == (1, 2, 3)
     assert isinstance(err.value.__cause__, NotAssociative)
+
+
+_CARRIERS = {
+    **{f"chain{n}": enumeration.chain_poset(n) for n in range(2, 8)},
+    "diamond2": enumeration.diamond_poset(2),
+    "diamond3": enumeration.diamond_poset(3),
+    "split5": SPLIT5,
+    "P": POSET_P,
+}
+
+
+def _slots(poset):
+    return {slot: getattr(poset, slot) for slot in FinitePoset.__slots__}
+
+
+@pytest.mark.parametrize("carrier", _CARRIERS.values(), ids=_CARRIERS.keys())
+def test_inherited_order_is_the_induced_order(carrier):
+    # every localization at a prime and every quotient by a non-top
+    # element of every structure: the poset the builder restricts from
+    # L equals the one built from its names and order from scratch
+    structures = list(enumeration.enumerate_structures(carrier))
+    built = 0
+    for L in structures:
+        results = [localize(L, p) for p in predicates.prime_elements(L)]
+        results += [quotient(L, a) for a in range(L.size - 1)]
+        for result in results:
+            poset = result.lattice.poset
+            assert _slots(poset) == _slots(FinitePoset(poset.names, poset.leq))
+            built += 1
+    assert built >= len(structures)  # the quotient by the bottom at least
+
+
+def test_builder_rejects_a_projection_that_is_not_a_closure(chain3_idem):
+    # x -> top maps into {0, top} but does not fix 0; the builder's
+    # failure names the construction
+    with pytest.raises(InternalValidationFailure) as err:
+        constructions._sublattice(chain3_idem, (0, 2), lambda x: 2, {}, "factor")
+    assert str(err.value) == (
+        "factor structure failed validation: projection not idempotent at 0"
+    )
+    assert err.value.witness == (0,)
+    assert isinstance(err.value.__cause__, InternalValidationFailure)

@@ -6,9 +6,9 @@ import random
 
 import pytest
 from conftest import POSET_P, SPLIT5
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import stable_topological_order, triple_scan
+from oracles import masks, stable_topological_order, triple_scan
 
 from sharplat import enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import (
@@ -21,6 +21,7 @@ from sharplat.core import (
 )
 from sharplat.errors import (
     BadSchema,
+    InternalValidationFailure,
     NoIdentity,
     NotALattice,
     NotAPartialOrder,
@@ -565,8 +566,8 @@ def _hasse_scan(leq):
 
 def _assert_stored_masks(poset):
     leq = poset.leq
-    assert poset.up == tuple(_masks(leq))
-    assert poset.down == tuple(_masks(zip(*leq)))
+    assert poset.up == tuple(masks(leq))
+    assert poset.down == tuple(masks(zip(*leq)))
     assert (poset.lower_covers, poset.upper_covers) == _hasse_scan(leq)
     n = poset.size
     assert poset.is_chain() == all(
@@ -610,6 +611,78 @@ def test_stored_masks_on_labelled_lattices(lattice):
     parsed, _ = FinitePoset.from_raw(*lattice)
     _assert_stored_masks(parsed)
     _assert_stored_masks(FinitePoset(parsed.names, parsed.leq))
+
+
+@settings(deadline=None)
+@given(
+    rows=st.integers(0, 70).flatmap(
+        lambda n: st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n)
+    )
+)
+def test_masks_match_the_cell_loop(rows):
+    # any square relation, not only orders, and past 64 bits
+    rel = [[bool(row >> k & 1) for k in range(len(rows))] for row in rows]
+    assert _masks(rel) == masks(rel)
+    assert _masks(zip(*rel)) == masks(zip(*rel))
+
+
+def test_non_canonical_order_is_an_internal_failure():
+    # the constructor requires canonical order, which the cover peel
+    # relies on; each listing fails one of the three checks
+    cases = {
+        "bottom": (["1", "0"], [[1, 0], [1, 1]]),
+        "top": (["0", "1", "a"], [[1, 1, 1], [0, 1, 0], [0, 1, 1]]),
+        "not topological": (
+            ["0", "a", "b", "1"],
+            [[1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, 0, 0, 1]],
+        ),
+    }
+    for what, (names, leq) in cases.items():
+        with pytest.raises(InternalValidationFailure) as err:
+            FinitePoset(names, leq)
+        assert str(err.value) == f"carrier not in canonical order: {what}"
+
+
+def _slots(poset):
+    return {slot: getattr(poset, slot) for slot in FinitePoset.__slots__}
+
+
+@settings(deadline=None)
+@given(lattice=labelled_lattices(), data=st.data())
+def test_closure_image_is_the_induced_poset(lattice, data):
+    # a meet-closed family holding the top is the image of the closure
+    # x -> the meet of the family above x; restricting the parent gives
+    # the poset that checking the induced order from scratch gives
+    poset, _ = FinitePoset.from_raw(*lattice)
+    n = poset.size
+    assume(n >= 2)
+    closed = {n - 1} | data.draw(st.sets(st.integers(0, n - 2), min_size=1))
+    while more := {poset.meets[x][y] for x in closed for y in closed} - closed:
+        closed |= more
+    image = tuple(sorted(closed))
+    close = [poset.meet_of(y for y in image if poset.leq[x][y]) for x in range(n)]
+    projection = tuple(image.index(c) for c in close)
+    expected = FinitePoset(
+        [poset.names[i] for i in image], [[poset.leq[i][j] for j in image] for i in image]
+    )
+    assert _slots(poset._closure_image(image, projection)) == _slots(expected)
+
+
+@pytest.mark.parametrize(
+    "image, projection, message, witness",
+    [
+        # on the 4-chain 0 < 1 < 2 < 3
+        ((1, 3), (0, 1, 1, 1), "projection not idempotent at 1", (1,)),
+        ((0, 3), (0, 0, 1, 1), "projection not extensive at 1", (1,)),
+        ((0, 2, 3), (0, 2, 1, 2), "projection not monotone at (1, 2)", (1, 2)),
+    ],
+    ids=["idempotent", "extensive", "monotone"],
+)
+def test_closure_image_rejects_a_non_closure(image, projection, message, witness):
+    chain = enumeration.chain_poset(4)
+    with pytest.raises(InternalValidationFailure) as err:
+        chain._closure_image(image, projection)
+    assert (str(err.value), err.value.witness) == (message, witness)
 
 
 def test_large_chain_and_product_tables():
