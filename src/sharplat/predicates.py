@@ -17,9 +17,12 @@ join-principal and principal elements.  Called alone,
 one scan each (``_scan``).  :func:`report`, the document ``sharplat
 report`` prints, runs every element check once and reads the sets off
 the results, so one report analyses its lattice once; the standalone
-functions are its oracles.  Each audit claim goes through ``_claim``,
-which turns the structural hypotheses, the property antecedent and a
-witness search into one ``ClaimRecord``.
+functions are its oracles.  ``_claim`` is the one place a
+``ClaimRecord`` is made, from a claim's structural hypotheses, its
+property antecedent and a witness search ``find()``.  Like every check
+here, ``find()`` returns None when the conclusion holds, else its least
+witness; a conclusion that names no element returns ``()``, as
+:func:`prime_witness` does for the top.
 """
 
 from __future__ import annotations
@@ -64,17 +67,16 @@ def prime_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
 
 
 def maximal_elements(L: FiniteMultLattice) -> tuple[ElementId, ...]:
-    """Elements maximal in L - {top}."""
-    return tuple(p for p in L.elements() if _maximal_witness(L, p) is None)
+    """Elements maximal in L - {top}: the lower covers of the top."""
+    return L.poset.lower_covers[L.top]
 
 
 def _maximal_witness(L, x):
+    """() for the top, else None if x is maximal or the least (y,) with x < y < top."""
     if x == L.top:
         return ()
-    for y in L.elements():
-        if y != x and y != L.top and L.le(x, y):
-            return (y,)
-    return None
+    above = L.poset.up[x] & ~(1 << x | 1 << L.top)
+    return ((above & -above).bit_length() - 1,) if above else None
 
 
 def _cancellative_witness(L, x):
@@ -460,18 +462,15 @@ def _principal_monoid(L, principals, pd_domain) -> PrincipalMonoidReport:
     whether L is a pseudo-Dedekind domain."""
     if not pd_domain:
         return PrincipalMonoidReport(principals, False, None, None)
-    holds, witness = _lcm_law(L, principals)
-    return PrincipalMonoidReport(principals, True, holds, witness)
+    witness = _lcm_law(L, principals)
+    return PrincipalMonoidReport(principals, True, witness is None, witness)
 
 
-def _lcm_law(L, principals) -> tuple[bool, tuple | None]:
-    for x in principals:
-        for y in principals:
-            if x == 0 or y == 0:
-                continue
-            if L.meet(x, y) != L.mul(y, L.residual(x, y)):
-                return False, (x, y)
-    return True, None
+def _lcm_law(L, principals) -> tuple | None:
+    """The least nonzero principal (x, y) with x ^ y != y (x:y), or None."""
+    nonzero = [x for x in principals if x != 0]
+    return next(((x, y) for x in nonzero for y in nonzero
+                 if L.meet(x, y) != L.mul(y, L.residual(x, y))), None)
 
 
 # -- audit harness ----------------------------------------------------
@@ -486,7 +485,8 @@ class ClaimRecord:
     sharpness fold into the conclusion as an implication; when the
     antecedent never fires the record is verified with ``vacuous``
     set.  A falsified record means the conclusion failed on an
-    instance that satisfies every hypothesis.
+    instance that satisfies every hypothesis; its ``witness`` is the
+    least one, or () when the conclusion names no element.
     """
 
     claim: str
@@ -523,28 +523,16 @@ class TheoremAudit:
         return {"claims": [r.to_dict() for r in self.records]}
 
 
-def _not_applicable(claim):
-    return ClaimRecord(claim, False, "not_applicable", False, None)
-
-
-def _verified(claim, vacuous=False):
-    return ClaimRecord(claim, True, "verified", vacuous, None)
-
-
-def _falsified(claim, witness):
-    return ClaimRecord(claim, True, "falsified", False, witness)
-
-
 def _claim(claim, applicable, antecedent, find):
-    """Not applicable without the structural hypotheses; vacuously
-    verified when the antecedent fails; otherwise falsified at the
-    witness ``find()`` returns, or verified when it returns none."""
+    """The one place a ClaimRecord is made; ``find()`` runs only on an
+    applicable claim whose antecedent holds."""
     if not applicable:
-        return _not_applicable(claim)
+        return ClaimRecord(claim, False, "not_applicable", False, None)
     if not antecedent:
-        return _verified(claim, vacuous=True)
+        return ClaimRecord(claim, True, "verified", True, None)
     witness = find()
-    return _falsified(claim, witness) if witness else _verified(claim)
+    status = "verified" if witness is None else "falsified"
+    return ClaimRecord(claim, True, status, False, witness)
 
 
 def theorem_audit(L: FiniteMultLattice) -> TheoremAudit:
@@ -563,14 +551,18 @@ def _audit(L, analysis: _Analysis) -> TheoremAudit:
 
     profile, primes, jp, principals, pd_witness = analysis
     sharp = is_sharp(L)
-    maximals = profile.max_elements
-    ids, top = range(L.size), L.top
-
-    def first(witnesses):
-        return next(witnesses, None)
+    maximals, ids, top = profile.max_elements, range(L.size), L.top
 
     def least_non_principal():
-        return first((x,) for x in ids if x not in principals)
+        return next(((x,) for x in ids if x not in principals), None)
+
+    def sharp_iff_all_principal():
+        if sharp == profile.is_dedekind:
+            return None
+        if sharp:
+            return least_non_principal()
+        # () when the residual table disagrees with ``is_sharp``
+        return _residual_identity_counterexample(L) or ()
 
     def residual_localization():
         for m in maximals:
@@ -588,78 +580,61 @@ def _audit(L, analysis: _Analysis) -> TheoremAudit:
         below = tuple(x for x in jp if L.lt(x, maximals[0]))
         return below if below and L.join_of(below) == maximals[0] else None
 
-    records = [
+    # section-3 setting: principally generated domains
+    pg_domain = profile.is_domain and profile.is_principally_generated
+    records = (
         # no element strictly between a maximal and its square (sharp case)
-        _claim("maximal_square_gap", True, sharp and maximals, lambda: first(
+        _claim("maximal_square_gap", True, sharp and maximals, lambda: next((
             (m, x) for m in maximals for x in ids
             if L.lt(L.mul(m, m), x) and L.lt(x, m)
-        )),
+        ), None)),
         # in a sharp lattice, proper elements with only trivial divisors
         # are prime
-        _claim("trivial_divisors_prime", True, sharp, lambda: first(
+        _claim("trivial_divisors_prime", True, sharp, lambda: next((
             (p,) for p in range(top)  # the proper elements
             if {d for d in ids if L.divides(d, p) is not None} <= {p, top}
             and p not in primes
-        )),
-    ]
-
-    # a chain whose consecutive squares dominate their predecessors is sharp
-    if not profile.is_totally_ordered or L.size < 4:
-        records.append(_not_applicable("chain_square_condition_sharp"))
-    elif not all(L.le(i, L.mul(i + 1, i + 1)) for i in range(1, L.size - 2)):
-        records.append(_verified("chain_square_condition_sharp", vacuous=True))
-    elif sharp:
-        records.append(_verified("chain_square_condition_sharp"))
-    else:
-        records.append(_falsified("chain_square_condition_sharp", None))
-
-    records += [
+        ), None)),
+        # a chain whose consecutive squares dominate their predecessors
+        # is sharp
+        _claim("chain_square_condition_sharp",
+               profile.is_totally_ordered and L.size >= 4,
+               all(L.le(i, L.mul(i + 1, i + 1)) for i in range(1, L.size - 2)),
+               lambda: None if sharp else ()),
         # join-principal pairs whose cross-residuals join to x v y are
         # comaximal
-        _claim("join_principal_comaximal", True, sharp, lambda: first(
+        _claim("join_principal_comaximal", True, sharp, lambda: next((
             (x, y) for x in jp for y in jp
             if L.join(L.residual(x, y), L.residual(y, x)) == L.join(x, y) != top
-        )),
+        ), None)),
         # in a local sharp lattice, any join-principal representation of
         # the maximal element contains it
         _claim("local_join_representation", profile.is_local, sharp,
                local_join_representation),
         # localization at any prime preserves sharpness
-        _claim("localization_preserves_sharp", True, sharp, lambda: first(
+        _claim("localization_preserves_sharp", True, sharp, lambda: next((
             (p,) for p in primes if not is_sharp(constructions._localized(L, p).lattice)
-        )),
-    ]
-
-    # principally generated (hence weak Noetherian): sharp iff all principal
-    if not profile.is_principally_generated:
-        records.append(_not_applicable("sharp_iff_all_principal"))
-    elif sharp == profile.is_dedekind:
-        records.append(_verified("sharp_iff_all_principal"))
-    else:
-        records.append(_falsified(
-            "sharp_iff_all_principal",
-            least_non_principal() if sharp else _residual_identity_counterexample(L),
-        ))
-
-    # section-3 setting: principally generated domains
-    pg_domain = profile.is_domain and profile.is_principally_generated
-    records += [
+        ), None)),
+        # principally generated (hence weak Noetherian): sharp iff all
+        # principal
+        _claim("sharp_iff_all_principal", profile.is_principally_generated, True,
+               sharp_iff_all_principal),
         _claim("sharp_implies_pseudo_dedekind", pg_domain, sharp,
                lambda: pd_witness),
         _claim("sharp_implies_prufer", pg_domain, sharp, least_non_principal),
         # pseudo-Dedekind domains: principal elements form a GCD monoid,
         # with LCM given by x ^ y == y (x:y)
         _claim("principal_lcm_law", pg_domain, profile.is_pseudo_dedekind,
-               lambda: _lcm_law(L, principals)[1]),
+               lambda: _lcm_law(L, principals)),
         # h-local domains: residuals localize, (a:b)_m == (a_m : b_m)
         _claim("residual_localization", pg_domain and profile.is_h_local, True,
                residual_localization),
         # nontrivial sharp domains have prime dimension at most one
         _claim("sharp_dimension_at_most_one", pg_domain and L.size > 2, sharp,
                lambda: (profile.dimension,) if profile.dimension > 1 else None),
-    ]
+    )
 
-    audit = TheoremAudit(tuple(records))
+    audit = TheoremAudit(records)
     if audit.falsified:
         bad = audit.falsified[0]
         raise ClaimFalsified(bad.claim, bad.witness)

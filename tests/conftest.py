@@ -22,6 +22,11 @@ def ranked_poset(names, rank) -> FinitePoset:
     return FinitePoset(names, leq)
 
 
+def poset_slots(poset) -> dict:
+    """Every stored slot of ``poset``, for slot-by-slot comparison."""
+    return {slot: getattr(poset, slot) for slot in FinitePoset.__slots__}
+
+
 # 0 < p, q < c < 1: p v q = c is neither p, q nor the top
 SPLIT5 = ranked_poset(["0", "p", "q", "c", "1"], [0, 1, 1, 2, 3])
 # 0 < p, q < c1 < c2 < c3 < c4 < 1, the benchmark's non-chain census poset

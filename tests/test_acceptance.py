@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 from oracles import structures_by_sweep
 
 from sharplat import constructions, enumeration, predicates
@@ -244,35 +243,38 @@ def test_criterion_11_nideal_counterexample_and_oracle_sweep():
     max_entry = 30
     family = _minimal_pairs_family(max_entry)
     deep = bound * max_entry
-    principal = {}
-    for g in range(1, max_entry + 1):
-        mask = np.zeros(deep + 1, dtype=bool)
-        mask[g::g] = True
-        principal[g] = mask
-    small_cache = {}
 
-    def small_mask(g):
-        if g not in small_cache:
-            mask = np.zeros(bound + 1, dtype=bool)
-            if g <= bound:
-                mask[g::g] = True
-            small_cache[g] = mask
-        return small_cache[g]
+    # 0/1 byte strings indexed by the integer, read as little-endian
+    # ints, so int AND/OR act entry by entry
+    def multiples(g, length):
+        mask = bytearray(length)
+        mask[g::g] = b"\x01" * len(range(g, length, g))
+        return mask
+
+    def as_int(mask):
+        return int.from_bytes(mask, "little")
+
+    principal = {g: as_int(multiples(g, deep + 1)) for g in range(1, max_entry + 1)}
+    small = {}  # g -> the multiples of g in 1..bound
+    everything = as_int(b"\x01" * bound)
 
     pairs = 0
     for a_ideal in family:
-        members_a = np.zeros(deep + 1, dtype=bool)
+        members_a = 0
         for g in a_ideal.generators:
             members_a |= principal[g]
+        members_a = members_a.to_bytes(deep + 1, "little")
         for b_ideal in family:
             r = ideal_residual(a_ideal, b_ideal)
-            got = np.zeros(bound, dtype=bool)
+            got = 0
             for g in r.generators:
-                got |= small_mask(g)[1 : bound + 1]
-            oracle = np.ones(bound, dtype=bool)
+                if g not in small:
+                    small[g] = as_int(multiples(g, bound + 1)[1:])
+                got |= small[g]
+            oracle = everything
             for h in sorted(b_ideal.generators):
-                oracle &= members_a[h :: h][:bound]
-            assert np.array_equal(got, oracle), (a_ideal, b_ideal)
+                oracle &= as_int(members_a[h::h][:bound])
+            assert got == oracle, (a_ideal, b_ideal)
             pairs += 1
     _passed(
         11,

@@ -398,6 +398,19 @@ def test_enumerate_audit_each_reports_falsified_claim(capsys, monkeypatch, censu
     assert out["lattice"] == expected
 
 
+def test_enumerate_audit_each_reports_a_claim_without_a_witness(capsys, monkeypatch):
+    # a lying "not sharp" falsifies sharp_iff_all_principal on the first
+    # sharp 5-chain, a conclusion that names no element: witness []
+    from sharplat import predicates
+
+    monkeypatch.setattr(predicates, "is_sharp", lambda L: False)
+    code, out = run_json(capsys, "enumerate", "--chain", "5", "--audit-each")
+    assert code == 3
+    assert out["error"] == "ClaimFalsified"
+    assert out["claim"] == "sharp_iff_all_principal"
+    assert out["witness"] == []
+
+
 @pytest.mark.parametrize("census", [[], ["--census"]])
 def test_enumerate_emit_keeps_files_written_before_a_falsified_claim(
     capsys, monkeypatch, tmp_path, census

@@ -1,7 +1,7 @@
 """Localization and factor-lattice constructions."""
 
 import pytest
-from conftest import POSET_P, SPLIT5
+from conftest import POSET_P, SPLIT5, poset_slots
 
 from sharplat import constructions, enumeration, predicates
 from sharplat.core import FinitePoset
@@ -233,10 +233,6 @@ _CARRIERS = {
 }
 
 
-def _slots(poset):
-    return {slot: getattr(poset, slot) for slot in FinitePoset.__slots__}
-
-
 @pytest.mark.parametrize("carrier", _CARRIERS.values(), ids=_CARRIERS.keys())
 def test_inherited_order_is_the_induced_order(carrier):
     # every localization at a prime and every quotient by a non-top
@@ -249,7 +245,7 @@ def test_inherited_order_is_the_induced_order(carrier):
         results += [quotient(L, a) for a in range(L.size - 1)]
         for result in results:
             poset = result.lattice.poset
-            assert _slots(poset) == _slots(FinitePoset(poset.names, poset.leq))
+            assert poset_slots(poset) == poset_slots(FinitePoset(poset.names, poset.leq))
             built += 1
     assert built >= len(structures)  # the quotient by the bottom at least
 

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from conftest import POSET_P, SPLIT5
+from conftest import POSET_P, SPLIT5, poset_slots
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import masks, stable_topological_order, triple_scan
@@ -643,10 +643,6 @@ def test_non_canonical_order_is_an_internal_failure():
         assert str(err.value) == f"carrier not in canonical order: {what}"
 
 
-def _slots(poset):
-    return {slot: getattr(poset, slot) for slot in FinitePoset.__slots__}
-
-
 @settings(deadline=None)
 @given(lattice=labelled_lattices(), data=st.data())
 def test_closure_image_is_the_induced_poset(lattice, data):
@@ -665,7 +661,7 @@ def test_closure_image_is_the_induced_poset(lattice, data):
     expected = FinitePoset(
         [poset.names[i] for i in image], [[poset.leq[i][j] for j in image] for i in image]
     )
-    assert _slots(poset._closure_image(image, projection)) == _slots(expected)
+    assert poset_slots(poset._closure_image(image, projection)) == poset_slots(expected)
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,28 @@ def test_nonsharp5_maximal(nonsharp5):
     assert element_profile(nonsharp5, c).is_maximal
 
 
+def test_maximal_reads_match_a_scan(census_structures, poset_p_structures):
+    # the covers of the top and the up-set reads against the definition:
+    # x below the top is maximal unless some y has x < y < top, and the
+    # least such y is its witness
+    lattices = [parse_lattice(doc) for doc in _report_documents().values()]
+    lattices.append(
+        parse_lattice(product_document(valuation_document(4), valuation_document(3)))
+    )
+    for structures in (*census_structures.values(), poset_p_structures):
+        lattices += structures
+    for L in lattices:
+        top = L.top
+        between = [
+            [y for y in L.elements() if L.lt(x, y) and y != top] for x in range(top)
+        ]
+        assert maximal_elements(L) == tuple(x for x in range(top) if not between[x])
+        assert [predicates._maximal_witness(L, x) for x in range(top)] == [
+            (ys[0],) if ys else None for ys in between
+        ]
+        assert predicates._maximal_witness(L, top) == ()
+
+
 def test_identity_and_bottom_always_principal(census_structures, poset_p_structures):
     # the census's all-principal count relies on this and skips both
     lattices = [build() for build in gallery.BUILTINS.values()]
@@ -452,6 +474,42 @@ def test_claim_falsified_raised_on_a_lying_sharpness_check(monkeypatch):
         theorem_audit(nil[0])
     assert err.value.claim == "maximal_square_gap"
     assert err.value.witness == (2, 1)
+
+
+def test_claim_falsified_without_a_witness_on_a_lying_non_sharp_check(monkeypatch):
+    # a lying "not sharp" contradicts two claims whose conclusions name
+    # no element; both must still raise, with the witness ()
+    sharp = [
+        L for n in (4, 5)
+        for L in enumeration.enumerate_structures(enumeration.chain_poset(n))
+        if predicates.is_sharp(L)
+    ]
+    assert len(sharp) == 18
+    monkeypatch.setattr(predicates, "is_sharp", lambda L: False)
+    raised = Counter()
+    for L in sharp:
+        try:
+            theorem_audit(L)
+        except ClaimFalsified as err:
+            assert err.witness == ()
+            raised[err.claim] += 1
+    assert raised == {"chain_square_condition_sharp": 16, "sharp_iff_all_principal": 1}
+
+
+def test_every_record_comes_from_claim(monkeypatch, census_structures):
+    # ``_claim`` makes each of the twelve records, once each, in order
+    claim, made = predicates._claim, []
+
+    def counting(*args):
+        made.append(claim(*args))
+        return made[-1]
+
+    monkeypatch.setattr(predicates, "_claim", counting)
+    for L in [*census_structures["chain5"], *census_structures["diamond2"]]:
+        made.clear()
+        records = theorem_audit(L).records
+        assert len(made) == 12
+        assert all(r is m for r, m in zip(records, made, strict=True))
 
 
 def test_prufer_iff_locally_totally_ordered(census_structures):
