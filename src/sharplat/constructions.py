@@ -1,19 +1,21 @@
 """Localization at a prime element and factor (quotient) lattices.
 
-Both share one builder.  Each is a closure operator c on the input
-lattice L (x -> x_p, or x -> x v a), whose image is a lattice in L's
-order with L's meets and the joins c(x v y).  So the builder inherits
-the order, restricting L's ``leq`` and projecting its tables, and
-validates the multiplication (x, y) -> c(xy) from scratch.  A failure
-of either would mean a bug in the construction, so it surfaces as
+Both share one builder.  Each is a nucleus c on the input lattice L
+(x -> x_p, or x -> x v a): a closure operator with c(x)c(y) <= c(xy).
+Its image is a lattice in L's order with L's meets, the joins c(x v y)
+and L's residuals.  So the builder inherits the order and the
+residuals, restricting L's tables to the image, and validates only the
+multiplication (x, y) -> c(xy), from scratch.  A failure of either
+would mean a bug in the construction, so it surfaces as
 InternalValidationFailure instead of an ordinary input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .core import ElementId, FiniteMultLattice, _restrict, _trusted_lattice
+from .core import ElementId, FiniteMultLattice, _bits, _restrict, _trusted_lattice
 from .errors import DegenerateQuotient, InternalValidationFailure, NotPrime, SharplatError
 from .predicates import prime_witness
 
@@ -44,11 +46,12 @@ def _require_prime(L: FiniteMultLattice, p: ElementId) -> None:
         raise NotPrime(f"element {L.names[p]!r} (id {p}) is not prime", witness=w)
 
 
-def _localize_element(L: FiniteMultLattice, p: ElementId, x: ElementId) -> ElementId:
-    # a*s <= x iff a <= (x:s), so x_p is the join of (x:s) over s not
-    # below p; the top is such an s, since p is proper
-    rx, leq = L.residuals[x], L.leq
-    return L.join_of(rx[s] for s in L.elements() if not leq[s][p])
+def _localizer(L: FiniteMultLattice, p: ElementId):
+    """x_p as a function of x's residual row: a*s <= x iff a <= (x:s),
+    so x_p is the join of (x:s) over s not below p (the top is one,
+    since p is proper, and may be the only one)."""
+    outside, join_of = [not row[p] for row in L.leq], L.join_of
+    return lambda row: join_of(compress(row, outside))
 
 
 def localize_element(
@@ -60,18 +63,26 @@ def localize_element(
     over the whole carrier.  Only localization at primes is defined.
     """
     _require_prime(L, p)
-    return _localize_element(L, p, x)
+    return _localizer(L, p)(L.residuals[x])
 
 
-def _sublattice(L, image, project, provenance, what):
+def _sublattice(L, image, close, provenance, what):
     """The lattice on the image (original ids, ascending) of the closure
-    ``project``, multiplying by (x, y) -> project(xy), and the projection
-    of L as new ids; ``what`` names it in an InternalValidationFailure."""
+    x -> close[x], multiplying by (x, y) -> close[xy], and the projection
+    of L as new ids; ``what`` names it in an InternalValidationFailure.
+
+    The closure must be a nucleus, c(x)c(y) <= c(xy): (x v a)(y v a) <=
+    xy v a, and as <= x, bt <= y with s, t not below the prime p give
+    (ab)(st) <= xy with st not below p.  Then for y in the image,
+    c((y:x))x <= c((y:x)x) <= y and c(zx) <= y iff zx <= y, so L's
+    (y:x) is the image's residual.  The order is checked to be a
+    closure's and the multiplication is validated; residuals are not."""
     index = {old: new for new, old in enumerate(image)}
-    projection = tuple(index[project(x)] for x in L.elements())
+    projection = tuple(map(index.__getitem__, close))
     try:
         poset = L.poset._closure_image(image, projection)
-        lattice = _trusted_lattice(poset, _restrict(L.mult, image, projection), provenance)
+        lattice = _trusted_lattice(poset, _restrict(L.mult, image, projection), provenance,
+                                   _restrict(L.residuals, image, projection))
     except SharplatError as exc:
         raise InternalValidationFailure(
             f"{what} structure failed validation: {exc}", witness=exc.witness
@@ -91,10 +102,10 @@ def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
 
 def _localized(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     """:func:`localize` at a p the caller knows to be prime."""
-    loc = [_localize_element(L, p, x) for x in L.elements()]
+    loc = tuple(map(_localizer(L, p), L.residuals))
     image = tuple(sorted(set(loc)))
     lattice, projection = _sublattice(
-        L, image, loc.__getitem__, {"localized_at": L.names[p]}, "localized"
+        L, image, loc, {"localized_at": L.names[p]}, "localized"
     )
     return LocalizationResult(lattice, projection, image)
 
@@ -107,8 +118,8 @@ def quotient(L: FiniteMultLattice, a: ElementId) -> QuotientResult:
     """
     if a == L.top:
         raise DegenerateQuotient("quotient by top is a one-point lattice")
-    image = tuple(x for x in L.elements() if L.le(a, x))
+    image = tuple(_bits(L.poset.up[a]))
     lattice, projection = _sublattice(
-        L, image, lambda x: L.join(x, a), {"quotient_by": L.names[a]}, "factor"
+        L, image, L.joins[a], {"quotient_by": L.names[a]}, "factor"
     )
     return QuotientResult(lattice, projection, image)

@@ -157,8 +157,8 @@ def _covers(masks: list[int], lowest: bool) -> tuple[tuple[int, ...], ...]:
 def _restrict(table, image, projection) -> tuple[tuple[int, ...], ...]:
     """The rows and columns ``image`` (two or more ids, so each pick is
     a tuple) of ``table``, entries mapped through ``projection``."""
-    pick, new_id = itemgetter(*image), projection.__getitem__
-    return tuple(tuple(map(new_id, pick(row))) for row in pick(table))
+    pick = itemgetter(*image)
+    return tuple(itemgetter(*pick(row))(projection) for row in pick(table))
 
 
 def canonical_permutation(down: list[int]) -> list[int]:
@@ -399,8 +399,10 @@ class FiniteMultLattice(_Order):
             raise BadSchema("mult entries out of range")
         self._build(poset, mult, dict(provenance) if provenance else {})
 
-    def _build(self, poset: FinitePoset, mult: tuple, provenance: dict) -> None:
-        """Store an n x n tuple of in-range ints and validate it."""
+    def _build(self, poset: FinitePoset, mult: tuple, provenance: dict,
+               residuals=None) -> None:
+        """Store an n x n tuple of in-range ints and validate it, with
+        its residual table (scanned unless given)."""
         self.poset = poset
         self.size = poset.size
         self.names = poset.names
@@ -410,7 +412,7 @@ class FiniteMultLattice(_Order):
         self.mult = mult
         self.provenance = provenance
         self._validate()
-        self.residuals = self._residual_table()
+        self.residuals = self._residual_table() if residuals is None else residuals
 
     def _validate(self) -> None:
         """Check the axioms in order, raising on the least witness.
@@ -545,11 +547,13 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None):
+def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None,
+                     residuals=None):
     """The lattice of an n x n table of in-range ints, such as the
-    search's: no shape, type or range check, but full validation."""
+    search's: no shape, type or range check, but full validation;
+    ``residuals``, when given, is stored unchecked."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._build(poset, tuple(map(tuple, mult)), provenance or {})
+    lattice._build(poset, tuple(map(tuple, mult)), provenance or {}, residuals)
     return lattice
 
 

@@ -18,7 +18,9 @@ are meant to check (``test_oracles`` parses this file to hold that).
 - :func:`stable_topological_order` is the interchange format's
   canonical element order as a list scan;
 - :func:`masks` reads a relation's rows as bitmasks, one cell at a
-  time.
+  time;
+- :func:`residuals` finds each residual (y : x) as the greatest a with
+  ax <= y, reading only the lattice's own order and multiplication.
 """
 
 from itertools import product
@@ -224,3 +226,25 @@ def masks(rel):
                 mask += 2**k
         out.append(mask)
     return out
+
+
+def residuals(L):
+    """The table (y : x), row y, by definition: the a with a x <= y that
+    lies above every other such a, or None where there is none.  One
+    pass keeps the highest candidate seen, then every other candidate is
+    checked to lie below it."""
+
+    def greatest(candidates):
+        found = candidates[0]  # the bottom: 0 x = 0 <= y
+        for a in candidates:
+            if L.le(found, a):
+                found = a
+        return found if all(L.le(a, found) for a in candidates) else None
+
+    return tuple(
+        tuple(
+            greatest([a for a in L.elements() if L.le(L.mul(a, x), y)])
+            for x in L.elements()
+        )
+        for y in L.elements()
+    )

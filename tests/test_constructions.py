@@ -1,10 +1,18 @@
 """Localization and factor-lattice constructions."""
 
+import oracles
 import pytest
-from conftest import POSET_P, SPLIT5, poset_slots
+from conftest import (
+    POSET_P,
+    SPLIT5,
+    nil_document,
+    poset_slots,
+    product_document,
+    valuation_document,
+)
 
-from sharplat import constructions, enumeration, predicates
-from sharplat.core import FinitePoset
+from sharplat import constructions, enumeration, gallery, parse_lattice, predicates
+from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.constructions import localize, localize_element, quotient
 from sharplat.errors import (
     DegenerateQuotient,
@@ -75,6 +83,18 @@ def test_localize_element_matches_pair_scan(census_structures):
                     assert localize_element(L, p, x) == expected
                     checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_localize_at_the_coatom_of_a_chain_is_the_identity(n):
+    # the coatom m of a chain is prime and only the top lies outside
+    # it, so x_m = (x : 1) = x: a join over one residual
+    for L in enumeration.enumerate_structures(enumeration.chain_poset(n)):
+        m = L.top - 1
+        assert [localize_element(L, m, x) for x in L.elements()] == list(L.elements())
+        loc = localize(L, m)
+        assert loc.image == loc.projection == tuple(L.elements())
+        assert loc.lattice == L
 
 
 # -- localize -----------------------------------------------------------
@@ -233,6 +253,14 @@ _CARRIERS = {
 }
 
 
+def _sub_lattices(L):
+    """Every localization of L at a prime and every quotient by a
+    non-top element."""
+    return [localize(L, p) for p in predicates.prime_elements(L)] + [
+        quotient(L, a) for a in range(L.size - 1)
+    ]
+
+
 @pytest.mark.parametrize("carrier", _CARRIERS.values(), ids=_CARRIERS.keys())
 def test_inherited_order_is_the_induced_order(carrier):
     # every localization at a prime and every quotient by a non-top
@@ -241,9 +269,7 @@ def test_inherited_order_is_the_induced_order(carrier):
     structures = list(enumeration.enumerate_structures(carrier))
     built = 0
     for L in structures:
-        results = [localize(L, p) for p in predicates.prime_elements(L)]
-        results += [quotient(L, a) for a in range(L.size - 1)]
-        for result in results:
+        for result in _sub_lattices(L):
             poset = result.lattice.poset
             assert poset_slots(poset) == poset_slots(FinitePoset(poset.names, poset.leq))
             built += 1
@@ -254,9 +280,65 @@ def test_builder_rejects_a_projection_that_is_not_a_closure(chain3_idem):
     # x -> top maps into {0, top} but does not fix 0; the builder's
     # failure names the construction
     with pytest.raises(InternalValidationFailure) as err:
-        constructions._sublattice(chain3_idem, (0, 2), lambda x: 2, {}, "factor")
+        constructions._sublattice(chain3_idem, (0, 2), (2, 2, 2), {}, "factor")
     assert str(err.value) == (
         "factor structure failed validation: projection not idempotent at 0"
     )
     assert err.value.witness == (0,)
     assert isinstance(err.value.__cause__, InternalValidationFailure)
+
+
+def _residuals_are_the_definition(L):
+    """Check the inherited residuals of every sub-lattice of L against
+    the definitional table; returns how many were checked."""
+    results = _sub_lattices(L)
+    for result in results:
+        assert result.lattice.residuals == oracles.residuals(result.lattice)
+    return len(results)
+
+
+@pytest.mark.parametrize("carrier", _CARRIERS.values(), ids=_CARRIERS.keys())
+def test_inherited_residuals_are_the_definition(carrier):
+    # the closures are nuclei, so each image is closed under L's
+    # residuals and they are its own
+    structures = list(enumeration.enumerate_structures(carrier))
+    checked = sum(map(_residuals_are_the_definition, structures))
+    assert checked >= len(structures)
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param(valuation_document(16), id="valuation16"),
+    pytest.param(nil_document(8), id="nil8"),
+    pytest.param(product_document(valuation_document(4), valuation_document(3)),
+                 id="valuation4xvaluation3"),
+    pytest.param(valuation_document(64), id="valuation64", marks=pytest.mark.slow),
+    pytest.param(product_document(valuation_document(8), valuation_document(8)),
+                 id="valuation8xvaluation8", marks=pytest.mark.slow),
+])
+def test_inherited_residuals_on_larger_lattices(document):
+    L = parse_lattice(document)
+    assert _residuals_are_the_definition(L) >= L.size
+
+
+def test_sub_lattices_never_scan_residuals(monkeypatch):
+    # localizations and quotients, and the audits that build them,
+    # read L's residuals; parsed documents and search leaves still scan
+    documents = list(gallery.gallery_documents().values())
+    lattices = [parse_lattice(doc) for doc in documents]
+
+    def scan(self):
+        raise AssertionError("residual scan")
+
+    monkeypatch.setattr(FiniteMultLattice, "_residual_table", scan)
+    built = audited = 0
+    for L in lattices:
+        built += len(_sub_lattices(L))
+        if predicates.is_sharp(L):
+            predicates.theorem_audit(L)
+            audited += 1
+    assert (len(lattices), audited) == (18, 17)
+    assert built > len(lattices)
+    with pytest.raises(AssertionError, match="residual scan"):
+        parse_lattice(documents[0])
+    with pytest.raises(AssertionError, match="residual scan"):
+        next(enumeration.enumerate_structures(enumeration.chain_poset(3)))
