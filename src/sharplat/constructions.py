@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .core import ElementId, FiniteMultLattice, _bits, _restrict, _trusted_lattice
+from .core import (
+    ElementId, FiniteMultLattice, _bits, _check_element, _restrict, _trusted_lattice,
+)
 from .errors import DegenerateQuotient, InternalValidationFailure, NotPrime, SharplatError
 from .predicates import prime_witness
 
@@ -41,6 +43,7 @@ class QuotientResult:
 
 
 def _require_prime(L: FiniteMultLattice, p: ElementId) -> None:
+    """Raise NotPrime unless p is prime; :func:`prime_witness` checks the id."""
     w = prime_witness(L, p)
     if w is not None:
         raise NotPrime(f"element {L.names[p]!r} (id {p}) is not prime", witness=w)
@@ -63,6 +66,7 @@ def localize_element(
     over the whole carrier.  Only localization at primes is defined.
     """
     _require_prime(L, p)
+    _check_element(L, x)
     return _localizer(L, p)(L.residuals[x])
 
 
@@ -116,6 +120,7 @@ def quotient(L: FiniteMultLattice, a: ElementId) -> QuotientResult:
 
     Rejects a = top: that quotient would collapse to one point.
     """
+    _check_element(L, a)
     if a == L.top:
         raise DegenerateQuotient("quotient by top is a one-point lattice")
     image = tuple(_bits(L.poset.up[a]))

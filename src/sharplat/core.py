@@ -557,6 +557,13 @@ def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None,
     return lattice
 
 
+def _check_element(L: _Order, x: ElementId) -> None:
+    """Raise UnknownElement unless x is an element id of L: an int (not a
+    bool) in range(L.size).  Table accessors such as ``mul`` skip this."""
+    if not (type(x) is int and 0 <= x < L.size):
+        raise UnknownElement(f"no element with id {x!r}", x)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise BadSchema(message)

@@ -52,7 +52,7 @@ class DegenerateQuotient(SharplatError):
 
 
 class UnknownElement(SharplatError, ValueError):
-    """An element name that is not in the carrier."""
+    """An element name or id that is not in the carrier."""
 
 
 class SizeTooSmall(SharplatError):

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, product
+from itertools import compress
 from math import gcd
 from operator import and_
 
@@ -307,21 +307,14 @@ def ideal_residual(a: FGIdeal, b: FGIdeal) -> FGIdeal:
     """The ideal {x : x*b <= a}, computed exactly.
 
     x*h lands in a iff some generator g of a divides x*h, i.e.
-    g/gcd(g, h) divides x; intersecting over the generators h of b and
-    distributing the intersection over the generator unions gives one
-    lcm per choice function from b's generators to a's.
+    g/gcd(g, h) divides x, so (a : <h>) is generated by the g/gcd(g, h),
+    and (a : b) is the meet of (a : <h>) over the generators h of b.
     """
     if b.is_zero():
         raise ZeroDivisor("residual by the zero ideal")
-    hs = sorted(b.generators)
-    gens = set()
-    for choice in product(sorted(a.generators), repeat=len(hs)):
-        val = 1
-        for g, h in zip(choice, hs):
-            q = g // gcd(g, h)
-            val = val * q // gcd(val, q)
-        gens.add(val)
-    return FGIdeal(frozenset(gens))
+    return reduce(ideal_meet, (
+        FGIdeal(frozenset(g // gcd(g, h) for g in a.generators)) for h in b.generators
+    ))
 
 
 def _sieve(a: FGIdeal, top: int) -> bytearray:

@@ -23,6 +23,10 @@ property antecedent and a witness search ``find()``.  Like every check
 here, ``find()`` returns None when the conclusion holds, else its least
 witness; a conclusion that names no element returns ``()``, as
 :func:`prime_witness` does for the top.
+
+Every record renders by one rule, ``_Record.to_dict``: the keys are
+the fields in declaration order, ``_LISTS`` names the tuple fields (to
+lists), and records keep no ``__slots__``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import ElementId, FiniteMultLattice
+from .core import ElementId, FiniteMultLattice, _check_element
 from .errors import ClaimFalsified, InternalEquivalenceViolation
 
 
@@ -41,6 +45,7 @@ def prime_witness(L: FiniteMultLattice, p: ElementId) -> tuple | None:
     """None if p is prime; otherwise the least (x, y) with xy <= p but
     neither factor below p.  The top element is never prime (not proper)
     and gets the witness ()."""
+    _check_element(L, p)
     if p == L.top:
         return ()
     leq = L.leq
@@ -130,8 +135,24 @@ def _weak_join_principal_witness(L, x):
     return None
 
 
+class _Record:
+    """``to_dict`` copies ``__dict__``, which a frozen dataclass with no
+    ``__slots__`` fills in field declaration order, the document's key
+    order; a field named in ``_LISTS`` turns from a tuple into a list,
+    and None stays None."""
+
+    _LISTS = ()
+
+    def to_dict(self) -> dict:
+        out = self.__dict__.copy()
+        for name in self._LISTS:
+            if out[name] is not None:
+                out[name] = list(out[name])
+        return out
+
+
 @dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(_Record):
     """Per-element property booleans; false answers carry the least
     witness tuple under ``witnesses[check_name]``, in key order."""
 
@@ -148,23 +169,14 @@ class ElementProfile:
     witnesses: dict = field(compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "name": self.name,
-            "is_prime": self.is_prime,
-            "is_maximal": self.is_maximal,
-            "is_cancellative": self.is_cancellative,
-            "is_meet_principal": self.is_meet_principal,
-            "is_weak_meet_principal": self.is_weak_meet_principal,
-            "is_join_principal": self.is_join_principal,
-            "is_weak_join_principal": self.is_weak_join_principal,
-            "is_principal": self.is_principal,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
+        out = super().to_dict()
+        out["witnesses"] = {k: list(v) for k, v in self.witnesses.items()}
+        return out
 
 
 def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
     """All element predicates for x, each by exhaustive scan."""
+    _check_element(L, x)
     return _element_profile(L, x, _element_checks(L, x))
 
 
@@ -228,7 +240,9 @@ def _residual_identity_counterexample(L) -> tuple | None:
 
 
 @dataclass(frozen=True)
-class LatticeProfile:
+class LatticeProfile(_Record):
+    _LISTS = ("max_elements",)
+
     is_local: bool
     max_elements: tuple[ElementId, ...]
     is_domain: bool
@@ -239,20 +253,6 @@ class LatticeProfile:
     is_pseudo_dedekind: bool
     is_h_local: bool
     dimension: int
-
-    def to_dict(self) -> dict:
-        return {
-            "is_local": self.is_local,
-            "max_elements": list(self.max_elements),
-            "is_domain": self.is_domain,
-            "is_totally_ordered": self.is_totally_ordered,
-            "is_principally_generated": self.is_principally_generated,
-            "is_prufer": self.is_prufer,
-            "is_dedekind": self.is_dedekind,
-            "is_pseudo_dedekind": self.is_pseudo_dedekind,
-            "is_h_local": self.is_h_local,
-            "dimension": self.dimension,
-        }
 
 
 class _Analysis(NamedTuple):
@@ -311,13 +311,9 @@ def lattice_profile(L: FiniteMultLattice) -> LatticeProfile:
 def _dimension(L, nonzero_primes) -> int:
     """Length (element count) of the longest chain of nonzero primes."""
     height = {}
-    best = 0
     for p in nonzero_primes:  # ascending ids = topological
-        height[p] = 1 + max(
-            (height[q] for q in height if q != p and L.le(q, p)), default=0
-        )
-        best = max(best, height[p])
-    return best
+        height[p] = 1 + max((h for q, h in height.items() if L.le(q, p)), default=0)
+    return max(height.values(), default=0)
 
 
 def _pseudo_dedekind_witness(L, principals) -> tuple | None:
@@ -340,9 +336,12 @@ def is_pseudo_dedekind(L: FiniteMultLattice) -> tuple[bool, tuple | None]:
 
 
 @dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(_Record):
     """Results of the four equivalent sharpness checks; ``counterexample``
-    is the least (a, b) failing the residual identity, or None if sharp."""
+    is the least (a, b) failing the residual identity, or None if sharp;
+    the document puts ``is_sharp`` just before it."""
+
+    _LISTS = ("counterexample",)
 
     by_definition: bool
     by_residual_identity: bool
@@ -355,16 +354,10 @@ class SharpnessReport:
         return self.by_definition
 
     def to_dict(self) -> dict:
-        return {
-            "by_definition": self.by_definition,
-            "by_residual_identity": self.by_residual_identity,
-            "by_divides": self.by_divides,
-            "by_restricted_divides": self.by_restricted_divides,
-            "is_sharp": self.is_sharp,
-            "counterexample": list(self.counterexample)
-            if self.counterexample is not None
-            else None,
-        }
+        out = super().to_dict()
+        out["is_sharp"] = self.is_sharp
+        out["counterexample"] = out.pop("counterexample")
+        return out
 
 
 def _sharp_by_definition(L) -> bool:
@@ -429,23 +422,17 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
 
 
 @dataclass(frozen=True)
-class PrincipalMonoidReport:
+class PrincipalMonoidReport(_Record):
     """The set P of principal elements, plus the GCD-monoid law
     x ^ y == y (x:y) checked over nonzero pairs from P whenever the
     lattice is a pseudo-Dedekind domain."""
+
+    _LISTS = ("principals", "witness")
 
     principals: tuple[ElementId, ...]
     law_checked: bool
     law_holds: bool | None
     witness: tuple | None
-
-    def to_dict(self) -> dict:
-        return {
-            "principals": list(self.principals),
-            "law_checked": self.law_checked,
-            "law_holds": self.law_holds,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
 
 
 def principal_monoid(L: FiniteMultLattice) -> PrincipalMonoidReport:
@@ -477,7 +464,7 @@ def _lcm_law(L, principals) -> tuple | None:
 
 
 @dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(_Record):
     """One audited claim.
 
     ``applicable`` reflects the structural hypotheses (domain,
@@ -489,20 +476,13 @@ class ClaimRecord:
     least one, or () when the conclusion names no element.
     """
 
+    _LISTS = ("witness",)
+
     claim: str
     applicable: bool
     status: str  # "verified" | "not_applicable" | "falsified"
     vacuous: bool
     witness: tuple | None
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "applicable": self.applicable,
-            "status": self.status,
-            "vacuous": self.vacuous,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
 
 
 @dataclass(frozen=True)

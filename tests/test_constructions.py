@@ -19,6 +19,7 @@ from sharplat.errors import (
     InternalValidationFailure,
     NotAssociative,
     NotPrime,
+    UnknownElement,
 )
 
 
@@ -37,6 +38,23 @@ def test_localize_at_non_prime_rejected(nonsharp5):
         localize_element(nonsharp5, a, 0)
     with pytest.raises(NotPrime):
         localize(nonsharp5, a)
+
+
+@pytest.mark.parametrize("entry", [
+    quotient,
+    predicates.prime_witness,
+    localize,
+    predicates.element_profile,
+    lambda L, p: localize_element(L, p, 0),
+    lambda L, x: localize_element(L, L.id_of("c"), x),  # c is prime
+], ids=["quotient", "prime_witness", "localize", "element_profile",
+        "localize_element_p", "localize_element_x"])
+def test_entry_points_reject_unknown_ids(nonsharp5, entry):
+    # unchecked, a negative id would index from the end and True pass as 1
+    n = nonsharp5.size
+    for x in (-1, -n, n, n + 3, True, 1.0):
+        with pytest.raises(UnknownElement):
+            entry(nonsharp5, x)
 
 
 def test_localization_bullets(census_structures):

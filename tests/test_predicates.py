@@ -6,6 +6,7 @@ import json
 import pkgutil
 import weakref
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from conftest import nil_document, product_document, valuation_document
@@ -18,6 +19,7 @@ from sharplat import cli, constructions, enumeration, gallery, parse_lattice, pr
 from sharplat.core import FiniteMultLattice
 from sharplat.errors import ClaimFalsified
 from sharplat.predicates import (
+    SharpnessReport,
     element_profile,
     is_pseudo_dedekind,
     lattice_profile,
@@ -550,6 +552,53 @@ def test_report_sections_equal_the_standalone_functions(census_structures):
         assert predicates.report(L, ("audit",)) == {
             "elements": doc["elements"], "audit": doc["audit"]
         }
+
+
+def _records(L):
+    """Every record the standalone functions return on L."""
+    return [
+        lattice_profile(L),
+        *(element_profile(L, x) for x in L.elements()),
+        sharpness_report(L),
+        principal_monoid(L),
+        *theorem_audit(L).records,
+    ]
+
+
+def _check_rendering(record):
+    # to_dict is the fields in declaration order (is_sharp just before
+    # the counterexample), with every tuple turned into a list, and the
+    # document is a copy: changing it leaves the record as it was
+    d = record.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    keys = [f.name for f in fields(record)]
+    if isinstance(record, SharpnessReport):
+        keys.insert(keys.index("counterexample"), "is_sharp")
+    assert list(d) == keys
+    before = json.loads(json.dumps(d))
+    for key, value in d.items():
+        if isinstance(value, dict):  # witnesses: check name -> list
+            for inner in value.values():
+                inner.append(-1)
+        if isinstance(value, (list, dict)):
+            value.clear()
+        d[key] = None
+    assert record.to_dict() == before
+
+
+def test_records_render_their_fields(census_structures, poset_p_structures):
+    lattices = [parse_lattice(doc) for doc in _report_documents().values()]
+    lattices += [L for family in census_structures.values() for L in family]
+    lattices += poset_p_structures
+    for L in lattices:
+        doc = predicates.report(L)
+        assert json.loads(json.dumps(doc)) == doc
+        for record in _records(L):
+            _check_rendering(record)
+    # the audit raises on a falsified claim and the LCM law holds where
+    # it is checked, so no record above carries these witnesses
+    _check_rendering(predicates.ClaimRecord("claim", True, "falsified", False, (1, 2)))
+    _check_rendering(predicates.PrincipalMonoidReport((0, 2), True, False, (1, 2)))
 
 
 class _Tracked(FiniteMultLattice):
