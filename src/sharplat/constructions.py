@@ -2,11 +2,11 @@
 
 Both share one builder.  Each is a nucleus c on the input lattice L
 (x -> x_p, or x -> x v a): a closure operator with c(x)c(y) <= c(xy).
-Its image is a lattice in L's order with L's meets, the joins c(x v y)
-and L's residuals.  So the builder inherits the order and the
-residuals, restricting L's tables to the image, and validates only the
-multiplication (x, y) -> c(xy), from scratch.  A failure of either
-would mean a bug in the construction, so it surfaces as
+Its image is a lattice with L's order, meets and residuals, the joins
+c(x v y) and the product c(xy).  So the builder restricts L's tables to
+the image and checks only that c is a closure and x -> c(x) multiplies,
+which is the nucleus law; nothing is re-validated.  A failure would
+mean a bug in the construction, so it surfaces as
 InternalValidationFailure instead of an ordinary input error.
 """
 
@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .core import (
-    ElementId, FiniteMultLattice, _bits, _check_element, _restrict, _trusted_lattice,
-)
+from .core import ElementId, FiniteMultLattice, _bits, _check_element
 from .errors import DegenerateQuotient, InternalValidationFailure, NotPrime, SharplatError
 from .predicates import prime_witness
 
@@ -79,14 +77,12 @@ def _sublattice(L, image, close, provenance, what):
     xy v a, and as <= x, bt <= y with s, t not below the prime p give
     (ab)(st) <= xy with st not below p.  Then for y in the image,
     c((y:x))x <= c((y:x)x) <= y and c(zx) <= y iff zx <= y, so L's
-    (y:x) is the image's residual.  The order is checked to be a
-    closure's and the multiplication is validated; residuals are not."""
+    (y:x) is the image's residual.  The closure is checked, and the
+    nucleus law as c(c(x)c(y)) = c(xy); the rest is inherited from L."""
     index = {old: new for new, old in enumerate(image)}
     projection = tuple(map(index.__getitem__, close))
     try:
-        poset = L.poset._closure_image(image, projection)
-        lattice = _trusted_lattice(poset, _restrict(L.mult, image, projection), provenance,
-                                   _restrict(L.residuals, image, projection))
+        lattice = L._closure_image(image, projection, provenance)
     except SharplatError as exc:
         raise InternalValidationFailure(
             f"{what} structure failed validation: {exc}", witness=exc.witness
@@ -98,7 +94,7 @@ def localize(L: FiniteMultLattice, p: ElementId) -> LocalizationResult:
     """The image lattice L_p = {x_p} with multiplication (x, y) -> (xy)_p.
 
     The carrier keeps the original element names and canonical order;
-    the order is inherited, the multiplication validated from scratch.
+    the order, product and residuals are L's, pushed through x -> x_p.
     """
     _require_prime(L, p)
     return _localized(L, p)

@@ -397,12 +397,12 @@ class FiniteMultLattice(_Order):
             raise BadSchema("mult entries must be ints")
         if any(min(row) < 0 or max(row) >= n for row in mult):
             raise BadSchema("mult entries out of range")
-        self._build(poset, mult, dict(provenance) if provenance else {})
+        self._store(poset, mult, dict(provenance) if provenance else {})
 
-    def _build(self, poset: FinitePoset, mult: tuple, provenance: dict,
+    def _store(self, poset: FinitePoset, mult: tuple, provenance: dict,
                residuals=None) -> None:
-        """Store an n x n tuple of in-range ints and validate it, with
-        its residual table (scanned unless given)."""
+        """Set every slot from an n x n tuple of in-range ints, validated
+        and its residuals scanned unless a closure image passes them."""
         self.poset = poset
         self.size = poset.size
         self.names = poset.names
@@ -411,8 +411,29 @@ class FiniteMultLattice(_Order):
         self.meets = poset.meets
         self.mult = mult
         self.provenance = provenance
-        self._validate()
+        if residuals is None:
+            self._validate()
         self.residuals = self._residual_table() if residuals is None else residuals
+
+    def _closure_image(self, image, projection, provenance) -> "FiniteMultLattice":
+        """The lattice on ``image`` of the closure ``projection`` (checked by
+        :meth:`FinitePoset._closure_image`), multiplying by (x, y) -> p(xy):
+        this lattice's tables ``_restrict``-ed, not re-validated.  Instead p
+        must be multiplicative, checked row by row in O(n^2), raising the least
+        (x, y) with p(x)p(y) != p(xy); for a closure that is the nucleus law
+        c(x)c(y) <= c(xy).  p is onto and keeps joins and products, so laws carry over."""
+        poset = self.poset._closure_image(image, projection)
+        mult = _restrict(self.mult, image, projection)
+        spread = itemgetter(*projection)
+        for x, row in enumerate(self.mult):
+            got = spread(mult[projection[x]])
+            if got != itemgetter(*row)(projection):
+                y = next(y for y, xy in enumerate(row) if got[y] != projection[xy])
+                raise InternalValidationFailure(f"projection not multiplicative at ({x}, {y})",
+                                                (x, y))
+        sub = FiniteMultLattice.__new__(FiniteMultLattice)
+        sub._store(poset, mult, provenance, _restrict(self.residuals, image, projection))
+        return sub
 
     def _validate(self) -> None:
         """Check the axioms in order, raising on the least witness.
@@ -547,13 +568,11 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None,
-                     residuals=None):
+def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None):
     """The lattice of an n x n table of in-range ints, such as the
-    search's: no shape, type or range check, but full validation;
-    ``residuals``, when given, is stored unchecked."""
+    search's: no shape, type or range check, but full validation."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._build(poset, tuple(map(tuple, mult)), provenance or {}, residuals)
+    lattice._store(poset, tuple(map(tuple, mult)), provenance or {})
     return lattice
 
 

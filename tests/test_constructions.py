@@ -1,5 +1,7 @@
 """Localization and factor-lattice constructions."""
 
+from itertools import product
+
 import oracles
 import pytest
 from conftest import (
@@ -10,8 +12,10 @@ from conftest import (
     product_document,
     valuation_document,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sharplat import constructions, enumeration, gallery, parse_lattice, predicates
+from sharplat import constructions, core, enumeration, gallery, parse_lattice, predicates
 from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.constructions import localize, localize_element, quotient
 from sharplat.errors import (
@@ -254,7 +258,7 @@ def test_builder_wraps_validation_failure(monkeypatch, diamond, build, what):
     def reject(*args, **kwargs):
         raise NotAssociative("injected", witness=(1, 2, 3))
 
-    monkeypatch.setattr(constructions, "_trusted_lattice", reject)
+    monkeypatch.setattr(FiniteMultLattice, "_closure_image", reject)
     with pytest.raises(InternalValidationFailure) as err:
         build(diamond, diamond.id_of("p"))
     assert str(err.value) == f"{what} structure failed validation: injected"
@@ -294,33 +298,109 @@ def test_inherited_order_is_the_induced_order(carrier):
     assert built >= len(structures)  # the quotient by the bottom at least
 
 
+def _builder_rejects(L, image, close):
+    """The InternalValidationFailure of the builder on the map x ->
+    close[x] of L onto ``image``, which must fail."""
+    with pytest.raises(InternalValidationFailure) as err:
+        constructions._sublattice(L, image, close, {}, "factor")
+    assert isinstance(err.value.__cause__, InternalValidationFailure)
+    return err.value
+
+
 def test_builder_rejects_a_projection_that_is_not_a_closure(chain3_idem):
     # x -> top maps into {0, top} but does not fix 0; the builder's
     # failure names the construction
-    with pytest.raises(InternalValidationFailure) as err:
-        constructions._sublattice(chain3_idem, (0, 2), (2, 2, 2), {}, "factor")
-    assert str(err.value) == (
-        "factor structure failed validation: projection not idempotent at 0"
+    err = _builder_rejects(chain3_idem, (0, 2), (2, 2, 2))
+    assert str(err) == "factor structure failed validation: projection not idempotent at 0"
+    assert err.witness == (0,)
+
+
+def test_builder_rejects_a_closure_that_is_not_a_nucleus(chain3_nil):
+    # on 0 < m < 1 with m^2 = 0, the closure onto {0, 1} is not a nucleus:
+    # c(m)c(m) = 1 is not below c(m^2) = 0, so the projection sends (m, m)
+    # to the product 1 of the image but m^2 to 0
+    err = _builder_rejects(chain3_nil, (0, 2), (0, 2, 2))
+    assert str(err) == (
+        "factor structure failed validation: projection not multiplicative at (1, 1)"
     )
-    assert err.value.witness == (0,)
-    assert isinstance(err.value.__cause__, InternalValidationFailure)
+    assert err.witness == (1, 1)
 
 
-def _residuals_are_the_definition(L):
-    """Check the inherited residuals of every sub-lattice of L against
-    the definitional table; returns how many were checked."""
+@settings(deadline=None)
+@given(data=st.data())
+def test_builder_accepts_exactly_the_nuclei(census_structures, data):
+    # a meet-closed family holding the top is the image of the closure
+    # x -> the meet of the family above x; the builder accepts it iff
+    # c(x)c(y) <= c(xy) for all x, y, and otherwise names the least (x, y)
+    # whose product the projection does not keep, c(c(x)c(y)) != c(xy)
+    L = data.draw(st.sampled_from([L for key in sorted(census_structures)
+                                   for L in census_structures[key]]))
+    n = L.size
+    closed = {n - 1} | data.draw(st.sets(st.integers(0, n - 2), min_size=1))
+    while more := {L.meet(x, y) for x in closed for y in closed} - closed:
+        closed |= more
+    image = tuple(sorted(closed))
+    close = [L.meet_of(y for y in image if L.le(x, y)) for x in L.elements()]
+    pairs = list(product(L.elements(), repeat=2))
+    if all(L.le(L.mul(close[x], close[y]), close[L.mul(x, y)]) for x, y in pairs):
+        lattice, _ = constructions._sublattice(L, image, close, {}, "factor")
+        oracles.triple_scan(lattice.poset, lattice.mult)
+        assert lattice.residuals == oracles.residuals(lattice)
+    else:
+        least = next((x, y) for x, y in pairs
+                     if close[L.mul(close[x], close[y])] != close[L.mul(x, y)])
+        err = _builder_rejects(L, image, close)
+        assert str(err) == ("factor structure failed validation: "
+                            f"projection not multiplicative at {least}")
+        assert err.witness == least
+
+
+def test_builder_rejects_a_corrupted_product(monkeypatch, nonsharp5, diamond, chain3_idem):
+    # each single entry of a sub-lattice's restricted product, changed,
+    # is caught: the first row-major pair the projection sends onto it
+    restrict = core._restrict
+    for L in (nonsharp5, diamond, chain3_idem):
+        for result in _sub_lattices(L):
+            image, projection = result.image, result.projection
+            close = [image[k] for k in projection]
+            m = len(image)
+            for u, v in product(range(m), repeat=2):
+                def corrupt(table, image_, projection_, u=u, v=v):
+                    out = [list(row) for row in restrict(table, image_, projection_)]
+                    if table is L.mult:
+                        out[u][v] = (out[u][v] + 1) % m
+                    return tuple(map(tuple, out))
+
+                monkeypatch.setattr(core, "_restrict", corrupt)
+                err = _builder_rejects(L, image, close)
+                assert err.witness == (projection.index(u), projection.index(v))
+                assert "projection not multiplicative" in str(err)
+            monkeypatch.setattr(core, "_restrict", restrict)
+            constructions._sublattice(L, image, close, {}, "factor")  # intact, it builds
+
+
+def _checked_in_full(L):
+    """Check every sub-lattice of L against the oracles: the triple scan
+    accepts its product, its inherited residuals are the definition's,
+    and the full constructor rebuilds it from its names, order and
+    product with the same tables; returns how many were checked."""
     results = _sub_lattices(L)
     for result in results:
-        assert result.lattice.residuals == oracles.residuals(result.lattice)
+        sub = result.lattice
+        oracles.triple_scan(sub.poset, sub.mult)
+        assert sub.residuals == oracles.residuals(sub)
+        rebuilt = FiniteMultLattice(FinitePoset(sub.names, sub.leq), sub.mult)
+        assert (rebuilt.mult, rebuilt.residuals) == (sub.mult, sub.residuals)
     return len(results)
 
 
 @pytest.mark.parametrize("carrier", _CARRIERS.values(), ids=_CARRIERS.keys())
 def test_inherited_residuals_are_the_definition(carrier):
     # the closures are nuclei, so each image is closed under L's
-    # residuals and they are its own
+    # residuals and they are its own; and the image checked only for its
+    # projection passes the full validation it skipped
     structures = list(enumeration.enumerate_structures(carrier))
-    checked = sum(map(_residuals_are_the_definition, structures))
+    checked = sum(map(_checked_in_full, structures))
     assert checked >= len(structures)
 
 
@@ -335,19 +415,20 @@ def test_inherited_residuals_are_the_definition(carrier):
 ])
 def test_inherited_residuals_on_larger_lattices(document):
     L = parse_lattice(document)
-    assert _residuals_are_the_definition(L) >= L.size
+    assert _checked_in_full(L) >= L.size
 
 
-def test_sub_lattices_never_scan_residuals(monkeypatch):
-    # localizations and quotients, and the audits that build them,
-    # read L's residuals; parsed documents and search leaves still scan
+def _sub_lattices_skip(monkeypatch, method):
+    """Patch FiniteMultLattice.``method`` to raise, then build every
+    sub-lattice of the gallery lattices and audit the sharp ones, which
+    must not call it; parsing a document and the search must."""
     documents = list(gallery.gallery_documents().values())
     lattices = [parse_lattice(doc) for doc in documents]
 
-    def scan(self):
-        raise AssertionError("residual scan")
+    def called(self):
+        raise AssertionError(method)
 
-    monkeypatch.setattr(FiniteMultLattice, "_residual_table", scan)
+    monkeypatch.setattr(FiniteMultLattice, method, called)
     built = audited = 0
     for L in lattices:
         built += len(_sub_lattices(L))
@@ -356,7 +437,19 @@ def test_sub_lattices_never_scan_residuals(monkeypatch):
             audited += 1
     assert (len(lattices), audited) == (18, 17)
     assert built > len(lattices)
-    with pytest.raises(AssertionError, match="residual scan"):
+    with pytest.raises(AssertionError, match=method):
         parse_lattice(documents[0])
-    with pytest.raises(AssertionError, match="residual scan"):
+    with pytest.raises(AssertionError, match=method):
         next(enumeration.enumerate_structures(enumeration.chain_poset(3)))
+
+
+def test_sub_lattices_never_scan_residuals(monkeypatch):
+    # localizations and quotients, and the audits that build them,
+    # read L's residuals; parsed documents and search leaves still scan
+    _sub_lattices_skip(monkeypatch, "_residual_table")
+
+
+def test_sub_lattices_never_revalidate(monkeypatch):
+    # they check only that their projection multiplies; parsed documents
+    # and search leaves are still validated in full
+    _sub_lattices_skip(monkeypatch, "_validate")
