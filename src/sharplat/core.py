@@ -20,6 +20,7 @@ loader, so both report the same schema diagnostics.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, compress, product
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -159,6 +160,20 @@ def _restrict(table, image, projection) -> tuple[tuple[int, ...], ...]:
     a tuple) of ``table``, entries mapped through ``projection``."""
     pick = itemgetter(*image)
     return tuple(itemgetter(*pick(row))(projection) for row in pick(table))
+
+
+def _residual_column(below, row) -> tuple[int, ...]:
+    """(y : x) for every y from row x of a valid table alone, ``below`` the
+    transpose of ``leq``: {a : ax <= y} holds 0 and is closed under joins,
+    so its join is its largest id, where the scan down from the top stops."""
+    top = len(row) - 1
+    column = []
+    for below_y in below:
+        a = top
+        while not below_y[row[a]]:
+            a -= 1
+        column.append(a)
+    return tuple(column)
 
 
 def canonical_permutation(down: list[int]) -> list[int]:
@@ -400,9 +415,10 @@ class FiniteMultLattice(_Order):
         self._store(poset, mult, dict(provenance) if provenance else {})
 
     def _store(self, poset: FinitePoset, mult: tuple, provenance: dict,
-               residuals=None) -> None:
-        """Set every slot from an n x n tuple of in-range ints, validated
-        and its residuals scanned unless a closure image passes them."""
+               residuals=None, columns=None) -> None:
+        """Set every slot from an n x n tuple of in-range ints.  A closure image
+        passes its ``residuals``; anything else is validated, then its table
+        is made of ``columns`` (a search leaf carries them) or scanned."""
         self.poset = poset
         self.size = poset.size
         self.names = poset.names
@@ -413,7 +429,10 @@ class FiniteMultLattice(_Order):
         self.provenance = provenance
         if residuals is None:
             self._validate()
-        self.residuals = self._residual_table() if residuals is None else residuals
+            if columns is None:
+                columns = map(partial(_residual_column, tuple(zip(*poset.leq))), mult)
+            residuals = tuple(zip(*columns))
+        self.residuals = residuals
 
     def _closure_image(self, image, projection, provenance) -> "FiniteMultLattice":
         """The lattice on ``image`` of the closure ``projection`` (checked by
@@ -491,22 +510,6 @@ class FiniteMultLattice(_Order):
                     f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
                 )
 
-    def _residual_table(self):
-        """(y : x) for all y, x.  On a valid table {a : ax <= y} holds 0
-        and is closed under joins, so its join is its member with the
-        largest id, where the scan down from the top stops."""
-        top = self.size - 1
-        rows = []
-        for below_y in zip(*self.leq):
-            row = []
-            for row_x in self.mult:
-                a = top
-                while not below_y[row_x[a]]:
-                    a -= 1
-                row.append(a)
-            rows.append(tuple(row))
-        return tuple(rows)
-
     # -- carrier ------------------------------------------------------
 
     def id_of(self, name: str) -> ElementId:
@@ -568,11 +571,11 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _trusted_lattice(poset: FinitePoset, mult, provenance: dict | None = None):
-    """The lattice of an n x n table of in-range ints, such as the
-    search's: no shape, type or range check, but full validation."""
+def _trusted_lattice(poset: FinitePoset, mult, columns=None, provenance: dict | None = None):
+    """The fully validated lattice of an n x n table of in-range ints, a search
+    leaf's or a parsed document's, with its residual ``columns`` if known."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._store(poset, tuple(map(tuple, mult)), provenance or {})
+    lattice._store(poset, tuple(map(tuple, mult)), provenance or {}, columns=columns)
     return lattice
 
 
@@ -641,9 +644,7 @@ def parse_lattice(document: dict) -> FiniteMultLattice:
         '"mult" entries must be element indices',
     )
     poset, order = FinitePoset.from_raw(document["elements"], document["leq"])
-    inverse = [0] * n
-    for new, old in enumerate(order):
-        inverse[old] = new
+    inverse = sorted(range(n), key=order.__getitem__)  # inverse[old_id] = new_id
     new_mult = [[inverse[mult[a][b]] for b in order] for a in order]
     provenance = {k: document[k] for k in _PROVENANCE_KEYS if k in document}
-    return FiniteMultLattice(poset, new_mult, provenance=provenance or None)
+    return _trusted_lattice(poset, new_mult, provenance=provenance)

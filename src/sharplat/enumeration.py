@@ -16,10 +16,13 @@ those triples without scanning the table: the free cells that hold each
 value, kept exact on assign and unassign, and the incomparable pairs
 with each join, a poset constant.  Every leaf is re-validated from
 scratch by the core validator, so correctness never depends on the
-propagation being complete.  The walk is row-major so that leaves arrive
-in ``flat_mult`` order: the table is symmetric with fixed forced cells,
-so the first free cell where two tables differ is the first position
-where their row-major tables differ.
+propagation being complete, and gets residual columns carried per
+distinct row: column x reads only row x and the order, and leaves share
+most rows, so one dict per search maps each row to its column (a census
+keeps its principal verdicts per row the same way).  The walk is
+row-major so that leaves arrive in ``flat_mult`` order: the table is
+symmetric with fixed forced cells, so the first free cell where two
+tables differ is the first position where their row-major tables differ.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -30,9 +33,10 @@ coincide there; for other posets an optional canonical-form count
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from . import predicates
-from .core import FiniteMultLattice, FinitePoset, _bits, _trusted_lattice
+from .core import FiniteMultLattice, FinitePoset, _bits, _residual_column, _trusted_lattice
 from .errors import SharplatError, SizeTooSmall
 
 _MIDDLE_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -151,11 +155,13 @@ def _search(poset: FinitePoset, cells):
     pairs_by_join = [[(x, y) for x, y in poset.incomparable if joins[x][y] == b]
                      for b in range(n)]
     lower, upper = poset.lower_covers, poset.upper_covers
+    column = cache(partial(_residual_column, tuple(zip(*poset.leq))))
 
     def backtrack(k: int):
         if k == len(cells):
+            rows = tuple(map(tuple, table))
             try:
-                lattice = _trusted_lattice(poset, table)
+                lattice = _trusted_lattice(poset, rows, tuple(map(column, rows)))
             except SharplatError:
                 # propagation admitted a bad table; the validator has the
                 # final word
@@ -249,6 +255,7 @@ def census(
         structures = enumerate_structures(poset)
     total = sharp = domains = all_principal = 0
     canon: set[tuple[int, ...]] = set()
+    verdicts: dict = {}  # row x of a structure on ``poset`` -> x is principal
     autos = None
     if distinct_up_to_auto:
         # each automorphism with its inverse, built once per census
@@ -262,7 +269,13 @@ def census(
         if predicates.prime_witness(L, 0) is None:
             domains += 1
         # bottom and top are principal in every multiplicative lattice
-        if all(predicates._is_principal(L, x) for x in range(1, L.top)):
+        shared = verdicts if L.poset is poset or L.poset == poset else {}
+        for x in range(1, L.top):
+            if (row := L.mult[x]) not in shared:
+                shared[row] = predicates._is_principal(L, x)
+            if not shared[row]:
+                break
+        else:
             all_principal += 1
         if autos is not None:
             canon.add(_canonical_key(L, autos))

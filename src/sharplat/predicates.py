@@ -32,6 +32,7 @@ lists), and records keep no ``__slots__``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import ElementId, FiniteMultLattice, _check_element
@@ -154,7 +155,7 @@ class _Record:
 @dataclass(frozen=True)
 class ElementProfile(_Record):
     """Per-element property booleans; false answers carry the least
-    witness tuple under ``witnesses[check_name]``, in key order."""
+    witness tuple under ``witnesses[check_name]``, read-only, in key order."""
 
     element: ElementId
     name: str
@@ -166,7 +167,7 @@ class ElementProfile(_Record):
     is_join_principal: bool
     is_weak_join_principal: bool
     is_principal: bool
-    witnesses: dict = field(compare=False)
+    witnesses: MappingProxyType = field(compare=False)
 
     def to_dict(self) -> dict:
         out = super().to_dict()
@@ -201,7 +202,7 @@ def _element_profile(L, x, checks) -> ElementProfile:
         name=L.names[x],
         **flags,
         is_principal=flags["is_meet_principal"] and flags["is_join_principal"],
-        witnesses={k: w for k, w in checks.items() if w is not None},
+        witnesses=MappingProxyType({k: w for k, w in checks.items() if w is not None}),
     )
 
 

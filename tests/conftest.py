@@ -60,6 +60,16 @@ def nil_document(n):
     ])
 
 
+def relisted(doc, order):
+    """``doc`` with its elements listed as ``order[new] = old``."""
+    position = {old: new for new, old in enumerate(order)}
+    return {
+        "elements": [doc["elements"][o] for o in order],
+        "leq": [[doc["leq"][a][b] for b in order] for a in order],
+        "mult": [[position[doc["mult"][a][b]] for b in order] for a in order],
+    }
+
+
 def product_document(A, B):
     """The componentwise product of the lattice documents A and B."""
     pairs = [(a, b) for a in range(len(A["elements"])) for b in range(len(B["elements"]))]

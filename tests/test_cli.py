@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import POSET_P, REPO_ROOT, product_document, valuation_document
+from conftest import POSET_P, REPO_ROOT, product_document, relisted, valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import stable_topological_order
@@ -257,16 +257,6 @@ def test_parser_is_reused_safely(capsys, monkeypatch, fixtures_dir, first):
     assert _in_process(capsys, ["report", path]) == (0, golden["nonsharp5"], "")
 
 
-def _relisted(doc, order):
-    """``doc`` with its elements listed as ``order[new] = old``."""
-    position = {old: new for new, old in enumerate(order)}
-    return {
-        "elements": [doc["elements"][o] for o in order],
-        "leq": [[doc["leq"][a][b] for b in order] for a in order],
-        "mult": [[position[doc["mult"][a][b]] for b in order] for a in order],
-    }
-
-
 def _report_in_process(doc, flags):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "lattice.json"
@@ -296,8 +286,8 @@ def test_report_is_invariant_under_element_order(census_structures, data):
         st.sampled_from([[], ["--profile"], ["--sharp"], ["--audit"], ["--pretty"]]),
         label="flags",
     )
-    scrambled = _relisted(doc, order)
-    canonical = _relisted(scrambled, stable_topological_order(scrambled["leq"]))
+    scrambled = relisted(doc, order)
+    canonical = relisted(scrambled, stable_topological_order(scrambled["leq"]))
     assert _report_in_process(scrambled, flags) == _report_in_process(canonical, flags)
 
 

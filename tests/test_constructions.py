@@ -418,17 +418,18 @@ def test_inherited_residuals_on_larger_lattices(document):
     assert _checked_in_full(L) >= L.size
 
 
-def _sub_lattices_skip(monkeypatch, method):
-    """Patch FiniteMultLattice.``method`` to raise, then build every
+def _sub_lattices_skip(monkeypatch, name, *owners):
+    """Patch ``name`` on each of ``owners`` to raise, then build every
     sub-lattice of the gallery lattices and audit the sharp ones, which
     must not call it; parsing a document and the search must."""
     documents = list(gallery.gallery_documents().values())
     lattices = [parse_lattice(doc) for doc in documents]
 
-    def called(self):
-        raise AssertionError(method)
+    def called(*args):
+        raise AssertionError(name)
 
-    monkeypatch.setattr(FiniteMultLattice, method, called)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, called)
     built = audited = 0
     for L in lattices:
         built += len(_sub_lattices(L))
@@ -437,19 +438,20 @@ def _sub_lattices_skip(monkeypatch, method):
             audited += 1
     assert (len(lattices), audited) == (18, 17)
     assert built > len(lattices)
-    with pytest.raises(AssertionError, match=method):
+    with pytest.raises(AssertionError, match=name):
         parse_lattice(documents[0])
-    with pytest.raises(AssertionError, match=method):
+    with pytest.raises(AssertionError, match=name):
         next(enumeration.enumerate_structures(enumeration.chain_poset(3)))
 
 
 def test_sub_lattices_never_scan_residuals(monkeypatch):
     # localizations and quotients, and the audits that build them,
     # read L's residuals; parsed documents and search leaves still scan
-    _sub_lattices_skip(monkeypatch, "_residual_table")
+    # their columns, the search through its own binding of the function
+    _sub_lattices_skip(monkeypatch, "_residual_column", core, enumeration)
 
 
 def test_sub_lattices_never_revalidate(monkeypatch):
     # they check only that their projection multiplies; parsed documents
     # and search leaves are still validated in full
-    _sub_lattices_skip(monkeypatch, "_validate")
+    _sub_lattices_skip(monkeypatch, "_validate", FiniteMultLattice)

@@ -5,10 +5,10 @@ import json
 import random
 
 import pytest
-from conftest import POSET_P, SPLIT5, poset_slots
+from conftest import POSET_P, SPLIT5, poset_slots, product_document, relisted
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import masks, stable_topological_order, triple_scan
+from oracles import masks, residuals, stable_topological_order, triple_scan
 
 from sharplat import enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import (
@@ -778,6 +778,35 @@ def test_residual_table_matches_join_over_all_elements(census_structures):
                 for y in L.elements()
             )
             assert L.residuals == expected
+
+
+_SMALL_DOCUMENTS = [
+    L.serialize()
+    for poset in (enumeration.chain_poset(4), enumeration.diamond_poset(2), SPLIT5)
+    for L in enumeration.enumerate_structures(poset)
+] + [doc for doc in gallery.gallery_documents().values() if len(doc["elements"]) <= 6]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_scanned_residual_columns_are_the_definition(data):
+    # a lattice from the constructor, or parsed from a relisted
+    # document, scans its residual columns itself; the product of two
+    # small lattices reaches 36 elements and two maximal elements
+    doc = data.draw(st.sampled_from(_SMALL_DOCUMENTS), label="first")
+    other = data.draw(st.none() | st.sampled_from(_SMALL_DOCUMENTS), label="second")
+    if other is not None:
+        doc = product_document(doc, other)
+    L = FiniteMultLattice(FinitePoset(doc["elements"], doc["leq"]), doc["mult"])
+    assert L.residuals == residuals(L)
+    order = data.draw(st.permutations(range(L.size)), label="order")
+    parsed = parse_lattice(relisted(doc, order))
+    assert parsed.residuals == residuals(parsed)
+    ids = [L.id_of(name) for name in parsed.names]  # the same table by name
+    assert parsed.residuals == tuple(
+        tuple(ids.index(L.residuals[ids[y]][ids[x]]) for x in range(L.size))
+        for y in range(L.size)
+    )
 
 
 def test_product_below_meet_and_monotone():

@@ -1,14 +1,16 @@
 """The structure enumerator, its oracle, and censuses."""
 
+import hashlib
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
+import oracles
 import pytest
 from conftest import POSET_P, SPLIT5
 from oracles import structures_by_sweep
 
 from sharplat import enumeration, predicates
-from sharplat.core import FiniteMultLattice
+from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.enumeration import (
     census,
     chain_poset,
@@ -76,6 +78,51 @@ def test_chain10_census_counts():
     assert (result.total, result.sharp, result.domains, result.all_principal) == (
         86417, 5891, 13775, 1
     )
+
+
+@pytest.mark.slow
+def test_chain9_stream_digest():
+    # same leaves, in the same order, with the same residual tables as
+    # when every leaf scanned its whole table: a SHA-256 over (mult,
+    # residuals) of each of the 13,775 leaves in stream order, pinned
+    # from that scan, holds no table
+    digest = hashlib.sha256()
+    for L in enumerate_structures(chain_poset(9)):
+        digest.update(repr((L.mult, L.residuals)).encode())
+    assert digest.hexdigest() == (
+        "3745338975d892136c12e28aded4e2c36475a0f15fa8f07abcbe92e6420425d1"
+    )
+
+
+def _all_principal_by_scan(structures):
+    return sum(len(predicates.principal_elements(L)) == L.size for L in structures)
+
+
+@pytest.mark.parametrize("poset", [*map(chain_poset, range(5, 9)), POSET_P],
+                         ids=["chain5", "chain6", "chain7", "chain8", "P"])
+def test_census_all_principal_matches_a_scan_per_structure(poset):
+    # the census reads one verdict per distinct row; the principal
+    # elements of each structure, scanned with no verdict kept, must
+    # give the same count
+    assert census(poset).all_principal == _all_principal_by_scan(enumerate_structures(poset))
+
+
+def test_census_keeps_verdicts_to_its_poset():
+    # row (0, 0, 2, 2) is not principal in a 4-chain structure but is in
+    # the diamond's meet structure: a stream mixing the two posets, on
+    # either census poset, must not read one poset's verdict for the other
+    first, second = chain_poset(4), diamond_poset(2)
+
+    def stream():
+        return chain(enumerate_structures(first), enumerate_structures(second))
+
+    expected = _all_principal_by_scan(stream())
+    for poset in (first, second):
+        assert census(poset, structures=stream()).all_principal == expected
+    # an equal poset that is not the same object shares the verdicts
+    copy = FinitePoset(first.names, first.leq)
+    assert (census(copy, structures=enumerate_structures(first)).all_principal
+            == _all_principal_by_scan(enumerate_structures(first)))
 
 
 def test_chain3_structures_are_the_two_nilpotency_classes(census_structures):
@@ -156,6 +203,18 @@ _WALK_POSETS = {
 }
 
 
+_CARRIED = {**{f"chain{n}": chain_poset(n) for n in range(2, 9)}, **_WALK_POSETS}
+
+
+@pytest.mark.parametrize("poset", _CARRIED.values(), ids=_CARRIED.keys())
+def test_carried_residuals_are_the_definition(poset):
+    # each leaf's residual table is made of the columns the search
+    # carries per distinct row; the definition, read from the leaf's own
+    # order and product, must give the same table
+    for L in enumerate_structures(poset):
+        assert L.residuals == oracles.residuals(L)
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["walk", "reversed"])
 @pytest.mark.parametrize("poset", _WALK_POSETS.values(), ids=_WALK_POSETS.keys())
 def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse):
@@ -169,9 +228,9 @@ def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse)
     built, rejected = [], []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table):
+    def counting_build(poset, table, columns):
         try:
-            built.append(build(poset, table))
+            built.append(build(poset, table, columns))
         except SharplatError:
             rejected.append([row[:] for row in table])
             raise
@@ -227,9 +286,9 @@ def test_enumeration_is_lazy(monkeypatch):
     built = []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table):
+    def counting_build(poset, table, columns):
         built.append(None)
-        return build(poset, table)
+        return build(poset, table, columns)
 
     monkeypatch.setattr(enumeration, "_trusted_lattice", counting_build)
     first = list(islice(enumerate_structures(chain_poset(9)), 5))
@@ -239,8 +298,10 @@ def test_enumeration_is_lazy(monkeypatch):
 
 def test_census_memory_does_not_grow_with_structure_count():
     # the bound must not grow with the 2,386 structures: streamed, the
-    # census traced 0.24 MB here and 0.22 MB at chain 7; holding every
-    # lattice in a list traced 6.25 MB
+    # census traced 0.51 MB here and 0.27 MB at chain 7, most of it the
+    # residual columns and principal verdicts kept per distinct row (856
+    # interior rows here; 0.25 and 0.12 MB when every leaf scanned its
+    # own); holding every lattice in a list traced 6.25 MB
     tracemalloc.start()
     try:
         result = census(chain_poset(8))

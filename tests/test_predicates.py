@@ -44,6 +44,21 @@ def test_nonsharp5_primes(nonsharp5):
     assert element_profile(nonsharp5, c).is_prime
 
 
+def test_element_profile_witnesses_are_read_only(nonsharp5):
+    # the record is frozen, and so is the mapping of its witnesses
+    profile = element_profile(nonsharp5, 1)
+    before = profile.to_dict()
+    assert profile.witnesses["is_prime"] == (2, 2)
+    with pytest.raises(AttributeError):
+        profile.witnesses.clear()
+    with pytest.raises(TypeError):
+        profile.witnesses["is_prime"] = None
+    with pytest.raises(TypeError):
+        del profile.witnesses["is_prime"]
+    assert profile.to_dict() == before
+    assert before["witnesses"]["is_prime"] == [2, 2]
+
+
 def test_nonsharp5_maximal(nonsharp5):
     c = nonsharp5.id_of("c")
     assert maximal_elements(nonsharp5) == (c,)
