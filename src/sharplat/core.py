@@ -392,7 +392,8 @@ class FiniteMultLattice(_Order):
     and the derived bound hold there, and distributivity when a is 0
     or top or b = 0 (a(0 v c) = ac = 0 v ac); a failure at (a, top, c)
     is the law at (a, c, top), in the earlier row (a, c).  So the
-    witness is the least one the full triple scan names.
+    witness is the least one the full triple scan names.  Leaves of one
+    search skip the row-local laws on rows an earlier leaf passed.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -415,7 +416,7 @@ class FiniteMultLattice(_Order):
         self._store(poset, mult, dict(provenance) if provenance else {})
 
     def _store(self, poset: FinitePoset, mult: tuple, provenance: dict,
-               residuals=None, columns=None) -> None:
+               residuals=None, columns=None, lawful=()) -> None:
         """Set every slot from an n x n tuple of in-range ints.  A closure image
         passes its ``residuals``; anything else is validated, then its table
         is made of ``columns`` (a search leaf carries them) or scanned."""
@@ -428,7 +429,7 @@ class FiniteMultLattice(_Order):
         self.mult = mult
         self.provenance = provenance
         if residuals is None:
-            self._validate()
+            self._validate(lawful)
             if columns is None:
                 columns = map(partial(_residual_column, tuple(zip(*poset.leq))), mult)
             residuals = tuple(zip(*columns))
@@ -454,7 +455,7 @@ class FiniteMultLattice(_Order):
         sub._store(poset, mult, provenance, _restrict(self.residuals, image, projection))
         return sub
 
-    def _validate(self) -> None:
+    def _validate(self, lawful=()) -> None:
         """Check the axioms in order, raising on the least witness.
         Commutativity is one compare with the transpose.  Two lemmas
         decide the other two laws from fewer reads, and only when one
@@ -466,7 +467,10 @@ class FiniteMultLattice(_Order):
           is the row z -> x(yz);
         - for b <= c the law a(b v c) = ab v ac says ab <= ac, so
           distributivity is every row monotone along the covers plus
-          the law on the incomparable pairs."""
+          the law on the incomparable pairs.
+
+        Those laws and the bound read row x alone, which ends in x once the
+        identity holds, so rows in ``lawful`` (passed on this order) are skipped."""
         n, top = self.size, self.size - 1
         mult, joins, meets, leq = self.mult, self.joins, self.meets, self.leq
         if mult != tuple(zip(*mult)):
@@ -476,22 +480,17 @@ class FiniteMultLattice(_Order):
         for x in range(n):
             if mult[top][x] != x:
                 raise NoIdentity(f"top*{x} != {x}", witness=(x,))
-        for x in range(n):
-            if mult[x][0] != 0:
-                raise NotDistributive(
-                    f"{x}*bottom != bottom (empty join law)", witness=(x, 0)
-                )
+        if any(mult[0]):  # row 0 is column 0, the products x*bottom
+            x = next(x for x, v in enumerate(mult[0]) if v)
+            raise NotDistributive(f"{x}*bottom != bottom (empty join law)", witness=(x, 0))
         inner = range(1, top)  # empty below n = 3
         rows = mult[1:top]
+        fresh = [row for row in rows if row not in lawful] if lawful else rows
         take = [itemgetter(*row) for row in mult]
-        upper = self.poset.upper_covers
         if not (
             all(mult[row_x[y]] == take[y](row_x)
                 for x, row_x in enumerate(rows, 1) for y in range(x, top))
-            and all(leq[row_a[b]][row_a[c]]
-                    for row_a in rows for b, cs in enumerate(upper) for c in cs)
-            and all(row_a[joins[b][c]] == joins[row_a[b]][row_a[c]]
-                    for row_a in rows for b, c in self.poset.incomparable)
+            and (not fresh or _lawful_rows(self.poset, fresh))
         ):
             for x, y, z in product(inner, inner, range(n)):
                 if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
@@ -504,11 +503,11 @@ class FiniteMultLattice(_Order):
                         f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
                         witness=(a, b, c),
                     )
-        for x, y in product(inner, inner):
-            if not leq[mult[x][y]][meets[x][y]]:
-                raise InternalValidationFailure(
-                    f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
-                )
+            for x, y in product(inner, inner):
+                if not leq[mult[x][y]][meets[x][y]]:
+                    raise InternalValidationFailure(
+                        f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
+                    )
 
     # -- carrier ------------------------------------------------------
 
@@ -571,11 +570,22 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _trusted_lattice(poset: FinitePoset, mult, columns=None, provenance: dict | None = None):
+def _lawful_rows(poset: FinitePoset, rows) -> bool:
+    """Whether rows x = row[top] keep the laws that read row x alone."""
+    leq, joins, meets, upper = poset.leq, poset.joins, poset.meets, poset.upper_covers
+    inner = range(1, poset.size - 1)
+    return (all(leq[row[b]][row[c]] for row in rows for b, cs in enumerate(upper) for c in cs)
+            and all(row[joins[b][c]] == joins[row[b]][row[c]]
+                    for row in rows for b, c in poset.incomparable)
+            and all(leq[row[y]][meet[y]] for row in rows for meet in [meets[row[-1]]]
+                    for y in inner))
+
+
+def _trusted_lattice(poset: FinitePoset, mult, columns=None, lawful=(), provenance=None):
     """The fully validated lattice of an n x n table of in-range ints, a search
-    leaf's or a parsed document's, with its residual ``columns`` if known."""
+    leaf's (with its residual ``columns`` and ``lawful`` rows) or a parsed document's."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._store(poset, tuple(map(tuple, mult)), provenance or {}, columns=columns)
+    lattice._store(poset, tuple(map(tuple, mult)), provenance or {}, None, columns, lawful)
     return lattice
 
 

@@ -14,12 +14,12 @@ when its last cell was set, and distributivity only on incomparable
 pairs, since on comparable ones it is monotonicity.  Two indexes find
 those triples without scanning the table: the free cells that hold each
 value, kept exact on assign and unassign, and the incomparable pairs
-with each join, a poset constant.  Every leaf is re-validated from
-scratch by the core validator, so correctness never depends on the
-propagation being complete, and gets residual columns carried per
-distinct row: column x reads only row x and the order, and leaves share
-most rows, so one dict per search maps each row to its column (a census
-keeps its principal verdicts per row the same way).  The walk is
+with each join, a poset constant.  Every leaf is re-validated by the
+core validator, so correctness never depends on the propagation being
+complete.  Leaves share most rows, and row x and the order decide column
+x of the residual table and the laws that read row x alone, so a search
+maps rows to columns and keeps its valid leaves' rows, skipped by those
+laws later (a census keeps its principal verdicts per row too).  The walk is
 row-major so that leaves arrive in ``flat_mult`` order: the table is
 symmetric with fixed forced cells, so the first free cell where two
 tables differ is the first position where their row-major tables differ.
@@ -156,16 +156,18 @@ def _search(poset: FinitePoset, cells):
                      for b in range(n)]
     lower, upper = poset.lower_covers, poset.upper_covers
     column = cache(partial(_residual_column, tuple(zip(*poset.leq))))
+    lawful: set[tuple[int, ...]] = set()  # rows of the leaves validated so far
 
     def backtrack(k: int):
         if k == len(cells):
             rows = tuple(map(tuple, table))
             try:
-                lattice = _trusted_lattice(poset, rows, tuple(map(column, rows)))
+                lattice = _trusted_lattice(poset, rows, tuple(map(column, rows)), lawful)
             except SharplatError:
                 # propagation admitted a bad table; the validator has the
                 # final word
                 return
+            lawful.update(rows)
             yield lattice
             return
         i, j = cells[k]

@@ -253,9 +253,7 @@ class FGIdeal:
         for g in gens:
             if isinstance(g, bool) or not isinstance(g, int) or g < 1:
                 raise NotInModel("generators must be positive integers")
-        minimal = frozenset(g for g in gens if not any(h != g and g % h == 0 for h in gens))
-        if minimal != gens:
-            object.__setattr__(self, "generators", minimal)
+        object.__setattr__(self, "generators", _ideal(gens).generators)
 
     @classmethod
     def of(cls, *gens: int) -> "FGIdeal":
@@ -266,6 +264,14 @@ class FGIdeal:
 
     def __repr__(self) -> str:
         return f"FGIdeal<{', '.join(map(str, sorted(self.generators)))}>"
+
+
+def _ideal(gens) -> FGIdeal:
+    """The ideal of positive ints ``gens``, minimised ({2, 4} gives {2}), not type-checked."""
+    ideal = object.__new__(FGIdeal)
+    object.__setattr__(ideal, "generators", frozenset(
+        g for g in gens if not any(h != g and g % h == 0 for h in gens)))
+    return ideal
 
 
 ZERO_IDEAL = FGIdeal.of()
@@ -288,19 +294,15 @@ def ideal_equal(a: FGIdeal, b: FGIdeal) -> bool:
 
 
 def ideal_product(a: FGIdeal, b: FGIdeal) -> FGIdeal:
-    return FGIdeal(frozenset(g * h for g in a.generators for h in b.generators))
+    return _ideal({g * h for g in a.generators for h in b.generators})
 
 
 def ideal_join(a: FGIdeal, b: FGIdeal) -> FGIdeal:
-    return FGIdeal(a.generators | b.generators)
+    return _ideal(a.generators | b.generators)
 
 
 def ideal_meet(a: FGIdeal, b: FGIdeal) -> FGIdeal:
-    return FGIdeal(
-        frozenset(
-            g * h // gcd(g, h) for g in a.generators for h in b.generators
-        )
-    )
+    return _ideal({g * h // gcd(g, h) for g in a.generators for h in b.generators})
 
 
 def ideal_residual(a: FGIdeal, b: FGIdeal) -> FGIdeal:
@@ -313,7 +315,7 @@ def ideal_residual(a: FGIdeal, b: FGIdeal) -> FGIdeal:
     if b.is_zero():
         raise ZeroDivisor("residual by the zero ideal")
     return reduce(ideal_meet, (
-        FGIdeal(frozenset(g // gcd(g, h) for g in a.generators)) for h in b.generators
+        _ideal({g // gcd(g, h) for g in a.generators}) for h in b.generators
     ))
 
 

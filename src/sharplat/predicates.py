@@ -388,6 +388,18 @@ def _sharp_by_definition(L) -> bool:
     return True
 
 
+def _sharp_by_restricted_divides(L) -> bool:
+    """(a:b) divides a for all nonprime a != 0 and a < b < top."""
+    mult, res, leq, top = L.mult, L.residuals, L.leq, L.top
+    for a in range(1, top):
+        for b in range(a + 1, top):
+            if leq[a][b] and a not in mult[res[a][b]]:
+                if not _prime_by_residuals(L, a):
+                    return False
+                break
+    return True
+
+
 def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
     """Run the four sharpness characterizations independently and check
     that they agree; disagreement is an implementation bug, reported as
@@ -397,16 +409,10 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
     ce = _residual_identity_counterexample(L)
     by_residual = ce is None
 
-    mult, res, leq, top = L.mult, L.residuals, L.leq, L.top
+    mult, res = L.mult, L.residuals
     # (a:b) divides a for all a, b
     by_div = all(a in mult[x] for a, ra in enumerate(res) for x in ra)
-    # ... for all nonprime a != 0 and a < b < top; primality is
-    # decided only for an a that fails divisibility
-    by_restricted = not any(
-        any(leq[a][b] and a not in mult[res[a][b]] for b in range(a + 1, top))
-        and not _prime_by_residuals(L, a)
-        for a in range(1, top)
-    )
+    by_restricted = _sharp_by_restricted_divides(L)
 
     answers = (by_def, by_residual, by_div, by_restricted)
     if len(set(answers)) != 1:

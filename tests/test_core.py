@@ -10,13 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import masks, residuals, stable_topological_order, triple_scan
 
-from sharplat import enumeration, gallery, parse_lattice, parse_poset
+from sharplat import core, enumeration, gallery, parse_lattice, parse_poset
 from sharplat.core import (
     FiniteMultLattice,
     FinitePoset,
     _bound_table,
     _check_partial_order,
     _masks,
+    _trusted_lattice,
     canonical_permutation,
 )
 from sharplat.errors import (
@@ -329,17 +330,14 @@ def _multi_cell_changes(mult, rng, count):
 MULTI_CHANGES = 40
 
 
-def test_cell_changes_fail_as_the_triple_scan_does(
-    census_structures, poset_p_structures
-):
-    # every single-cell change of every small structure, made on both
-    # sides of the diagonal and on one side only, and seeded symmetric
-    # changes of two or three interior cells, which can break a law in
-    # more than one place: the validator raises the class, message and
-    # witness the triple scan raises, or accepts when the scan does.
-    # split5, P and the diamonds, where the covers branch, pin the rows
-    # the validator skips and its incomparable-pair law off chains too;
-    # M3 (diamond 3) carries no structure, so its meet table stands in
+def _cell_changes(census_structures, poset_p_structures):
+    """Every single-cell change of every small structure, made on both
+    sides of the diagonal and on one side only, and seeded symmetric
+    changes of two or three interior cells, which can break a law in
+    more than one place: (kind, poset, changed table) triples.  split5,
+    P and the diamonds, where the covers branch, pin the rows the
+    validator skips and its incomparable-pair law off chains too; M3
+    (diamond 3) carries no structure, so its meet table stands in."""
     single = [
         *census_structures["chain4"],
         *census_structures["chain5"],
@@ -355,21 +353,67 @@ def test_cell_changes_fail_as_the_triple_scan_does(
         (m3, m3.meets),
     ]
     rng = random.Random(18)
-    changes = [
+    return [
         *(("single", L.poset, changed)
           for L in single for changed in _single_cell_changes(L.mult)),
         *(("multi", poset, changed) for poset, mult in multi
           for changed in _multi_cell_changes(mult, rng, MULTI_CHANGES)),
     ]
+
+
+def _assert_fails_as_the_triple_scan_does(build, changes):
     seen = {"single": set(), "multi": set()}
     for kind, poset, mult in changes:
         expected = _outcome(triple_scan, poset, mult)
-        assert _outcome(FiniteMultLattice, poset, mult) == expected
+        assert _outcome(build, poset, mult) == expected
         seen[kind].add(expected and expected[0])
     assert seen == {
         "single": {None, NotCommutative, NoIdentity, NotAssociative, NotDistributive},
         "multi": {None, NotAssociative, NotDistributive},
     }
+
+
+def test_cell_changes_fail_as_the_triple_scan_does(
+    census_structures, poset_p_structures
+):
+    # the validator raises the class, message and witness the triple
+    # scan raises, or accepts when the scan does
+    changes = _cell_changes(census_structures, poset_p_structures)
+    _assert_fails_as_the_triple_scan_does(FiniteMultLattice, changes)
+
+
+def test_cell_changes_past_lawful_rows_fail_as_the_triple_scan_does(
+    monkeypatch, census_structures, poset_p_structures
+):
+    # the search's path: one set of lawful rows per poset, which each
+    # table that validates through it joins, warmed by every structure
+    # on that poset.  A changed table re-reads only the rows no valid
+    # table had, and must still raise what the triple scan raises
+    records = {}
+
+    def build(poset, mult):
+        lattice = _trusted_lattice(poset, mult, lawful=records[poset])
+        records[poset].update(mult)
+        return lattice
+
+    changes = _cell_changes(census_structures, poset_p_structures)
+    for _, poset, _ in changes:
+        if poset not in records:
+            records[poset] = set()
+            for L in enumeration.enumerate_structures(poset):
+                build(poset, L.mult)
+    read, skipped, lawful_rows = [], [], core._lawful_rows
+
+    def counting(poset, rows):
+        read.extend(rows)
+        skipped.append(poset.size - 2 - len(rows))
+        return lawful_rows(poset, rows)
+
+    monkeypatch.setattr(core, "_lawful_rows", counting)
+    _assert_fails_as_the_triple_scan_does(build, changes)
+    # the records were used: of the interior rows that reached the row
+    # laws (after associativity), more were skipped than read
+    assert sum(skipped) > len(read) > 0
 
 
 # -- order tables from up-set masks ------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from conftest import POSET_P, SPLIT5
 from oracles import structures_by_sweep
 
-from sharplat import enumeration, predicates
+from sharplat import core, enumeration, parse_lattice, predicates
 from sharplat.core import FiniteMultLattice, FinitePoset
 from sharplat.enumeration import (
     census,
@@ -70,13 +70,29 @@ def test_chain9_census_counts():
     )
 
 
+def _hashed(stream, digest):
+    """Pass ``stream`` through, adding each lattice's (mult, residuals)
+    to ``digest``."""
+    for L in stream:
+        digest.update(repr((L.mult, L.residuals)).encode())
+        yield L
+
+
 @pytest.mark.slow
 def test_chain10_census_counts():
     # 86,417 structures, the largest census pinned; the t-norm oracle
-    # confirms the 13,775 domains (chain 9) independently
-    result = census(chain_poset(10))
+    # confirms the 13,775 domains (chain 9) independently.  The same
+    # pass hashes (mult, residuals) of every leaf in stream order, as
+    # test_chain9_stream_digest does, pinned before the search kept its
+    # lawful rows
+    digest = hashlib.sha256()
+    poset = chain_poset(10)
+    result = census(poset, structures=_hashed(enumerate_structures(poset), digest))
     assert (result.total, result.sharp, result.domains, result.all_principal) == (
         86417, 5891, 13775, 1
+    )
+    assert digest.hexdigest() == (
+        "9b84b6add2501789151390d079e78888876bac905cbea85d053a9d29bfb4d98a"
     )
 
 
@@ -87,8 +103,7 @@ def test_chain9_stream_digest():
     # residuals) of each of the 13,775 leaves in stream order, pinned
     # from that scan, holds no table
     digest = hashlib.sha256()
-    for L in enumerate_structures(chain_poset(9)):
-        digest.update(repr((L.mult, L.residuals)).encode())
+    assert sum(1 for _ in _hashed(enumerate_structures(chain_poset(9)), digest)) == 13775
     assert digest.hexdigest() == (
         "3745338975d892136c12e28aded4e2c36475a0f15fa8f07abcbe92e6420425d1"
     )
@@ -228,9 +243,9 @@ def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse)
     built, rejected = [], []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table, columns):
+    def counting_build(poset, table, columns, lawful):
         try:
-            built.append(build(poset, table, columns))
+            built.append(build(poset, table, columns, lawful))
         except SharplatError:
             rejected.append([row[:] for row in table])
             raise
@@ -286,9 +301,9 @@ def test_enumeration_is_lazy(monkeypatch):
     built = []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table, columns):
+    def counting_build(poset, table, columns, lawful):
         built.append(None)
-        return build(poset, table, columns)
+        return build(poset, table, columns, lawful)
 
     monkeypatch.setattr(enumeration, "_trusted_lattice", counting_build)
     first = list(islice(enumerate_structures(chain_poset(9)), 5))
@@ -296,12 +311,35 @@ def test_enumeration_is_lazy(monkeypatch):
     assert len(built) == 5
 
 
+def test_row_laws_read_each_distinct_row_once(monkeypatch):
+    # the 2,386 chain-8 leaves hold 14,316 interior rows but 856
+    # distinct ones: the search's lawful rows let the row-local laws read
+    # each distinct row once, while associativity reads every leaf
+    read, lawful_rows = [], core._lawful_rows
+
+    def counting(poset, rows):
+        read.extend(rows)
+        return lawful_rows(poset, rows)
+
+    monkeypatch.setattr(core, "_lawful_rows", counting)
+    leaves = list(enumerate_structures(chain_poset(8)))
+    interior = [row for L in leaves for row in L.mult[1:-1]]
+    assert (len(leaves), len(interior), len(set(interior))) == (2386, 14316, 856)
+    assert len(read) == 856
+    assert set(read) == set(interior)
+    # a parsed document brings no lawful rows and reads every row
+    read.clear()
+    parse_lattice(leaves[-1].serialize())
+    assert read == list(leaves[-1].mult[1:-1])
+
+
 def test_census_memory_does_not_grow_with_structure_count():
     # the bound must not grow with the 2,386 structures: streamed, the
-    # census traced 0.51 MB here and 0.27 MB at chain 7, most of it the
-    # residual columns and principal verdicts kept per distinct row (856
-    # interior rows here; 0.25 and 0.12 MB when every leaf scanned its
-    # own); holding every lattice in a list traced 6.25 MB
+    # census traced 0.54 MB here and 0.28 MB at chain 7, most of it the
+    # residual columns, lawful rows and principal verdicts kept per
+    # distinct row (856 interior rows here; 0.51 MB without the lawful
+    # rows, 0.25 and 0.12 MB when every leaf scanned its own); holding
+    # every lattice in a list traced 6.25 MB
     tracemalloc.start()
     try:
         result = census(chain_poset(8))

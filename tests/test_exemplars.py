@@ -514,6 +514,26 @@ def test_ideal_residual_examples():
         ideal_residual(a, FGIdeal.of())
 
 
+def test_internal_constructions_minimise_without_a_type_check(monkeypatch):
+    # products, joins and meets of minimal generator sets need not be
+    # minimal, so the internal constructions still minimise; they build
+    # no FGIdeal through its checked constructor
+    cases = [
+        (ideal_product, (2, 3), (2, 9), {4, 6, 27}),  # 6 divides 18
+        (ideal_join, (2,), (4,), {2}),
+        (ideal_meet, (2, 3), (2,), {2}),  # lcm(3, 2) = 6 is a multiple of 2
+        (ideal_residual, (4, 9), (2, 3), {4, 6, 9}),
+    ]
+    operands = [(FGIdeal.of(*a), FGIdeal.of(*b)) for _, a, b, _ in cases]
+
+    def refuse(self):
+        raise AssertionError("an internal construction re-checked its generators")
+
+    monkeypatch.setattr(FGIdeal, "__post_init__", refuse)
+    for (op, _, _, expected), (a, b) in zip(cases, operands):
+        assert op(a, b).generators == frozenset(expected)
+
+
 def test_zero_ideal_arithmetic():
     zero, b = FGIdeal.of(), FGIdeal.of(2, 3)
     assert ideal_product(zero, b).is_zero()
