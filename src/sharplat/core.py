@@ -162,10 +162,16 @@ def _restrict(table, image, projection) -> tuple[tuple[int, ...], ...]:
     return tuple(itemgetter(*pick(row))(projection) for row in pick(table))
 
 
-def _residual_column(below, row) -> tuple[int, ...]:
-    """(y : x) for every y from row x of a valid table alone, ``below`` the
-    transpose of ``leq``: {a : ax <= y} holds 0 and is closed under joins,
-    so its join is its largest id, where the scan down from the top stops."""
+def _residual_column(leq, below, joins, covers, incomparable, row) -> tuple[int, ...] | None:
+    """Column x of the residual table, (y : x) for every y, from row x, or None
+    when row x breaks a law that reads it alone: monotone along the upper
+    ``covers``, the join law on the ``incomparable`` pairs.  Those make a -> ax
+    keep joins, so {a : ax <= y} holds 0 (row[0] = 0) and is closed under joins,
+    and its join is its largest id, where the scan down from the top stops;
+    ``below`` is the transpose of ``leq``."""
+    if not (all(leq[row[b]][row[c]] for b, cs in enumerate(covers) for c in cs)
+            and all(row[joins[b][c]] == joins[row[b]][row[c]] for b, c in incomparable)):
+        return None
     top = len(row) - 1
     column = []
     for below_y in below:
@@ -174,6 +180,12 @@ def _residual_column(below, row) -> tuple[int, ...]:
             a -= 1
         column.append(a)
     return tuple(column)
+
+
+def _columns(poset) -> partial:
+    """``_residual_column`` bound to ``poset``'s tables: row -> column or None."""
+    return partial(_residual_column, poset.leq, tuple(zip(*poset.leq)), poset.joins,
+                   poset.upper_covers, poset.incomparable)
 
 
 def canonical_permutation(down: list[int]) -> list[int]:
@@ -381,19 +393,19 @@ class FiniteMultLattice(_Order):
 
     Validation checks, in order: commutativity, identity (top acts as
     1), multiplication by bottom (the empty-join distributivity law
-    ``a*0 = 0``), associativity, binary distributivity over joins, and
-    the derived bound ``xy <= x meet y`` as an internal cross-check.
+    ``a*0 = 0``), associativity and binary distributivity over joins.
     In a finite lattice binary distributivity plus the bottom law is
     equivalent to distributivity over arbitrary joins.
 
     Once the first three laws hold, no row (x, y) with x or y in
     {0, top} is the first to fail, so only interior rows are read:
     0 absorbs and top is the identity on either side, so associativity
-    and the derived bound hold there, and distributivity when a is 0
-    or top or b = 0 (a(0 v c) = ac = 0 v ac); a failure at (a, top, c)
-    is the law at (a, c, top), in the earlier row (a, c).  So the
-    witness is the least one the full triple scan names.  Leaves of one
-    search skip the row-local laws on rows an earlier leaf passed.
+    holds there, and distributivity when a is 0 or top or b = 0
+    (a(0 v c) = ac = 0 v ac); a failure at (a, top, c) is the law at
+    (a, c, top), in the earlier row (a, c).  So the witness is the least
+    one the full triple scan names.  One function of a row decides
+    distributivity there and makes its residual column
+    (:func:`_residual_column`), so a search reads each distinct row once.
 
     Instances are immutable after construction; every operation is a
     pure read, so validated lattices are safe to share freely.
@@ -416,10 +428,11 @@ class FiniteMultLattice(_Order):
         self._store(poset, mult, dict(provenance) if provenance else {})
 
     def _store(self, poset: FinitePoset, mult: tuple, provenance: dict,
-               residuals=None, columns=None, lawful=()) -> None:
+               residuals=None, column=None) -> None:
         """Set every slot from an n x n tuple of in-range ints.  A closure image
-        passes its ``residuals``; anything else is validated, then its table
-        is made of ``columns`` (a search leaf carries them) or scanned."""
+        passes its ``residuals``; anything else is validated, reading each row
+        through ``column`` (a search passes its memo of :func:`_columns`), and
+        its residual table is made of the columns ``column`` returns."""
         self.poset = poset
         self.size = poset.size
         self.names = poset.names
@@ -429,10 +442,7 @@ class FiniteMultLattice(_Order):
         self.mult = mult
         self.provenance = provenance
         if residuals is None:
-            self._validate(lawful)
-            if columns is None:
-                columns = map(partial(_residual_column, tuple(zip(*poset.leq))), mult)
-            residuals = tuple(zip(*columns))
+            residuals = tuple(zip(*self._validate(column or _columns(poset))))
         self.residuals = residuals
 
     def _closure_image(self, image, projection, provenance) -> "FiniteMultLattice":
@@ -455,8 +465,9 @@ class FiniteMultLattice(_Order):
         sub._store(poset, mult, provenance, _restrict(self.residuals, image, projection))
         return sub
 
-    def _validate(self, lawful=()) -> None:
-        """Check the axioms in order, raising on the least witness.
+    def _validate(self, column) -> tuple:
+        """Check the axioms in order, raising on the least witness, and
+        return the residual columns, ``column`` of each row.
         Commutativity is one compare with the transpose.  Two lemmas
         decide the other two laws from fewer reads, and only when one
         fails are the triples scanned for the least witness:
@@ -467,12 +478,13 @@ class FiniteMultLattice(_Order):
           is the row z -> x(yz);
         - for b <= c the law a(b v c) = ab v ac says ab <= ac, so
           distributivity is every row monotone along the covers plus
-          the law on the incomparable pairs.
+          the law on the incomparable pairs, which ``column`` checks,
+          returning None on a row that breaks them.
 
-        Those laws and the bound read row x alone, which ends in x once the
-        identity holds, so rows in ``lawful`` (passed on this order) are skipped."""
+        ``column`` scans down to row[0], so it runs only once the bottom
+        law holds."""
         n, top = self.size, self.size - 1
-        mult, joins, meets, leq = self.mult, self.joins, self.meets, self.leq
+        mult, joins = self.mult, self.joins
         if mult != tuple(zip(*mult)):
             x, y = next((x, y) for x in range(n) for y in range(x + 1, n)
                         if mult[x][y] != mult[y][x])
@@ -483,14 +495,13 @@ class FiniteMultLattice(_Order):
         if any(mult[0]):  # row 0 is column 0, the products x*bottom
             x = next(x for x, v in enumerate(mult[0]) if v)
             raise NotDistributive(f"{x}*bottom != bottom (empty join law)", witness=(x, 0))
+        columns = tuple(map(column, mult))
         inner = range(1, top)  # empty below n = 3
-        rows = mult[1:top]
-        fresh = [row for row in rows if row not in lawful] if lawful else rows
         take = [itemgetter(*row) for row in mult]
         if not (
             all(mult[row_x[y]] == take[y](row_x)
-                for x, row_x in enumerate(rows, 1) for y in range(x, top))
-            and (not fresh or _lawful_rows(self.poset, fresh))
+                for x, row_x in enumerate(mult[1:top], 1) for y in range(x, top))
+            and None not in columns
         ):
             for x, y, z in product(inner, inner, range(n)):
                 if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
@@ -503,11 +514,7 @@ class FiniteMultLattice(_Order):
                         f"{a}*({b} v {c}) != {a}*{b} v {a}*{c}",
                         witness=(a, b, c),
                     )
-            for x, y in product(inner, inner):
-                if not leq[mult[x][y]][meets[x][y]]:
-                    raise InternalValidationFailure(
-                        f"derived bound xy <= x^y fails at ({x}, {y})", witness=(x, y)
-                    )
+        return columns
 
     # -- carrier ------------------------------------------------------
 
@@ -570,22 +577,11 @@ class FiniteMultLattice(_Order):
         return f"FiniteMultLattice({list(self.names)!r})"
 
 
-def _lawful_rows(poset: FinitePoset, rows) -> bool:
-    """Whether rows x = row[top] keep the laws that read row x alone."""
-    leq, joins, meets, upper = poset.leq, poset.joins, poset.meets, poset.upper_covers
-    inner = range(1, poset.size - 1)
-    return (all(leq[row[b]][row[c]] for row in rows for b, cs in enumerate(upper) for c in cs)
-            and all(row[joins[b][c]] == joins[row[b]][row[c]]
-                    for row in rows for b, c in poset.incomparable)
-            and all(leq[row[y]][meet[y]] for row in rows for meet in [meets[row[-1]]]
-                    for y in inner))
-
-
-def _trusted_lattice(poset: FinitePoset, mult, columns=None, lawful=(), provenance=None):
+def _trusted_lattice(poset: FinitePoset, mult, column=None, provenance=None):
     """The fully validated lattice of an n x n table of in-range ints, a search
-    leaf's (with its residual ``columns`` and ``lawful`` rows) or a parsed document's."""
+    leaf's (read through the search's memo ``column``) or a parsed document's."""
     lattice = FiniteMultLattice.__new__(FiniteMultLattice)
-    lattice._store(poset, tuple(map(tuple, mult)), provenance or {}, None, columns, lawful)
+    lattice._store(poset, tuple(map(tuple, mult)), provenance or {}, None, column)
     return lattice
 
 

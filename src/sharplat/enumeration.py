@@ -16,13 +16,14 @@ those triples without scanning the table: the free cells that hold each
 value, kept exact on assign and unassign, and the incomparable pairs
 with each join, a poset constant.  Every leaf is re-validated by the
 core validator, so correctness never depends on the propagation being
-complete.  Leaves share most rows, and row x and the order decide column
-x of the residual table and the laws that read row x alone, so a search
-maps rows to columns and keeps its valid leaves' rows, skipped by those
-laws later (a census keeps its principal verdicts per row too).  The walk is
-row-major so that leaves arrive in ``flat_mult`` order: the table is
-symmetric with fixed forced cells, so the first free cell where two
-tables differ is the first position where their row-major tables differ.
+complete.  Leaves share most rows, and row x and the order decide both
+the laws that read row x alone and column x of the residual table, so a
+search keeps one memo from row to column (or None, for a row that breaks
+those laws) and reads each distinct row once; a census keeps its
+principal verdicts per row too.  The walk is row-major so that leaves
+arrive in ``flat_mult`` order: the table is symmetric with fixed forced
+cells, so the first free cell where two tables differ is the first
+position where their row-major tables differ.
 
 Censuses count labeled structures on the fixed poset.  Chains have no
 nontrivial order automorphisms, so labeled and isomorphism counts
@@ -33,10 +34,10 @@ coincide there; for other posets an optional canonical-form count
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 from . import predicates
-from .core import FiniteMultLattice, FinitePoset, _bits, _residual_column, _trusted_lattice
+from .core import FiniteMultLattice, FinitePoset, _bits, _columns, _trusted_lattice
 from .errors import SharplatError, SizeTooSmall
 
 _MIDDLE_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -155,19 +156,16 @@ def _search(poset: FinitePoset, cells):
     pairs_by_join = [[(x, y) for x, y in poset.incomparable if joins[x][y] == b]
                      for b in range(n)]
     lower, upper = poset.lower_covers, poset.upper_covers
-    column = cache(partial(_residual_column, tuple(zip(*poset.leq))))
-    lawful: set[tuple[int, ...]] = set()  # rows of the leaves validated so far
+    column = cache(_columns(poset))
 
     def backtrack(k: int):
         if k == len(cells):
-            rows = tuple(map(tuple, table))
             try:
-                lattice = _trusted_lattice(poset, rows, tuple(map(column, rows)), lawful)
+                lattice = _trusted_lattice(poset, table, column)
             except SharplatError:
                 # propagation admitted a bad table; the validator has the
                 # final word
                 return
-            lawful.update(rows)
             yield lattice
             return
         i, j = cells[k]

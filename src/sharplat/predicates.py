@@ -388,6 +388,12 @@ def _sharp_by_definition(L) -> bool:
     return True
 
 
+def _sharp_by_divides(L) -> bool:
+    """(a:b) divides a for all a, b."""
+    mult = L.mult
+    return all(a in mult[x] for a, ra in enumerate(L.residuals) for x in ra)
+
+
 def _sharp_by_restricted_divides(L) -> bool:
     """(a:b) divides a for all nonprime a != 0 and a < b < top."""
     mult, res, leq, top = L.mult, L.residuals, L.leq, L.top
@@ -405,15 +411,10 @@ def sharpness_report(L: FiniteMultLattice) -> SharpnessReport:
     that they agree; disagreement is an implementation bug, reported as
     InternalEquivalenceViolation rather than a result."""
     by_def = _sharp_by_definition(L)
-
     ce = _residual_identity_counterexample(L)
     by_residual = ce is None
-
-    mult, res = L.mult, L.residuals
-    # (a:b) divides a for all a, b
-    by_div = all(a in mult[x] for a, ra in enumerate(res) for x in ra)
+    by_div = _sharp_by_divides(L)
     by_restricted = _sharp_by_restricted_divides(L)
-
     answers = (by_def, by_residual, by_div, by_restricted)
     if len(set(answers)) != 1:
         raise InternalEquivalenceViolation(

@@ -564,10 +564,12 @@ _NOT_AN_OBJECT = {
             "detail": "sharpness checks disagree: definition=True "
             "residual_identity=False divides=True restricted_divides=True",
         }),
-        (Path("chain3_nil.json"), InternalValidationFailure("derived bound fails"), 3, {
+        (Path("chain3_nil.json"), InternalValidationFailure(
+            "projection not idempotent at 1"
+        ), 3, {
             "error": "InternalValidationFailure",
             "witness": None,
-            "detail": "derived bound fails",
+            "detail": "projection not idempotent at 1",
         }),
     ],
     ids=[

@@ -447,8 +447,8 @@ def _sub_lattices_skip(monkeypatch, name, *owners):
 def test_sub_lattices_never_scan_residuals(monkeypatch):
     # localizations and quotients, and the audits that build them,
     # read L's residuals; parsed documents and search leaves still scan
-    # their columns, the search through its own binding of the function
-    _sub_lattices_skip(monkeypatch, "_residual_column", core, enumeration)
+    # their columns, the search through its memo of core._columns
+    _sub_lattices_skip(monkeypatch, "_residual_column", core)
 
 
 def test_sub_lattices_never_revalidate(monkeypatch):

@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from conftest import POSET_P, SPLIT5, poset_slots, product_document, relisted
@@ -383,37 +385,33 @@ def test_cell_changes_fail_as_the_triple_scan_does(
 
 
 def test_cell_changes_past_lawful_rows_fail_as_the_triple_scan_does(
-    monkeypatch, census_structures, poset_p_structures
+    census_structures, poset_p_structures
 ):
-    # the search's path: one set of lawful rows per poset, which each
-    # table that validates through it joins, warmed by every structure
-    # on that poset.  A changed table re-reads only the rows no valid
-    # table had, and must still raise what the triple scan raises
-    records = {}
+    # the search's path: one memo of the row function per poset, which
+    # decides the row-local laws and makes the residual column, warmed by
+    # every structure on that poset.  A changed table reads only the rows
+    # the memo has not seen, and must still raise what the triple scan
+    # raises
+    memos = {}
 
     def build(poset, mult):
-        lattice = _trusted_lattice(poset, mult, lawful=records[poset])
-        records[poset].update(mult)
-        return lattice
+        return _trusted_lattice(poset, mult, memos[poset])
 
     changes = _cell_changes(census_structures, poset_p_structures)
     for _, poset, _ in changes:
-        if poset not in records:
-            records[poset] = set()
+        if poset not in memos:
+            memos[poset] = cache(core._columns(poset))
             for L in enumeration.enumerate_structures(poset):
                 build(poset, L.mult)
-    read, skipped, lawful_rows = [], [], core._lawful_rows
-
-    def counting(poset, rows):
-        read.extend(rows)
-        skipped.append(poset.size - 2 - len(rows))
-        return lawful_rows(poset, rows)
-
-    monkeypatch.setattr(core, "_lawful_rows", counting)
+    warm = [memo.cache_info() for memo in memos.values()]
     _assert_fails_as_the_triple_scan_does(build, changes)
-    # the records were used: of the interior rows that reached the row
-    # laws (after associativity), more were skipped than read
-    assert sum(skipped) > len(read) > 0
+    # the memos were used: of the rows of the tables that reached the
+    # row laws (after commutativity, the identity and the bottom law),
+    # more were found in a memo than read
+    used = [memo.cache_info() for memo in memos.values()]
+    hits = sum(u.hits - w.hits for u, w in zip(used, warm))
+    misses = sum(u.misses - w.misses for u, w in zip(used, warm))
+    assert hits > misses > 0
 
 
 # -- order tables from up-set masks ------------------------------------
@@ -851,6 +849,56 @@ def test_scanned_residual_columns_are_the_definition(data):
         tuple(ids.index(L.residuals[ids[y]][ids[x]]) for x in range(L.size))
         for y in range(L.size)
     )
+
+
+def _keeps_first_three_laws(mult):
+    """Commutativity, the identity row and the bottom law."""
+    top = len(mult) - 1
+    return (mult == tuple(zip(*mult)) and mult[top] == tuple(range(top + 1))
+            and not any(mult[0]))
+
+
+def _row_distributive(poset, row):
+    """a(b v c) = ab v ac for row a, by plain scan over every b < c."""
+    joins, n = poset.joins, poset.size
+    return all(row[joins[b][c]] == joins[row[b]][row[c]]
+               for b in range(n) for c in range(b + 1, n))
+
+
+def _oracle_column(poset, row):
+    """Column x of ``oracles.residuals`` for row x: (y : x) reads only the
+    products ax = row[a], so a stand-in whose every column is ``row``."""
+    stand_in = SimpleNamespace(le=poset.le, mul=lambda a, _: row[a],
+                               elements=lambda: range(poset.size))
+    return tuple(r[0] for r in residuals(stand_in))
+
+
+def test_residual_column_is_none_exactly_where_a_row_breaks_distributivity(
+    census_structures, poset_p_structures
+):
+    # the rows of every structure on the census carriers, and of each of
+    # its single-cell changes that keep the first three laws: the row
+    # function returns None exactly on a row whose distributivity fails,
+    # and otherwise column x of the residual table by definition
+    chain7 = list(enumeration.enumerate_structures(enumeration.chain_poset(7)))
+    structures = [
+        *(L for key in ("chain2", "chain3", "chain4", "chain5", "chain6",
+                        "diamond2", "split5") for L in census_structures[key]),
+        *chain7, *poset_p_structures,
+    ]
+    rows = {}
+    for L in structures:
+        tables = [L.mult, *filter(_keeps_first_three_laws, _single_cell_changes(L.mult))]
+        rows.setdefault(L.poset, set()).update(row for t in tables for row in t)
+    verdicts = {True: 0, False: 0}
+    for poset, found in rows.items():
+        column = core._columns(poset)
+        for row in found:
+            lawful = _row_distributive(poset, row)
+            verdicts[lawful] += 1
+            assert column(row) == (_oracle_column(poset, row) if lawful else None)
+    assert len(rows) == 9
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_product_below_meet_and_monotone():

@@ -83,8 +83,8 @@ def test_chain10_census_counts():
     # 86,417 structures, the largest census pinned; the t-norm oracle
     # confirms the 13,775 domains (chain 9) independently.  The same
     # pass hashes (mult, residuals) of every leaf in stream order, as
-    # test_chain9_stream_digest does, pinned before the search kept its
-    # lawful rows
+    # test_chain9_stream_digest does, pinned before the search read each
+    # distinct row once
     digest = hashlib.sha256()
     poset = chain_poset(10)
     result = census(poset, structures=_hashed(enumerate_structures(poset), digest))
@@ -243,9 +243,9 @@ def test_incremental_check_leaves_nothing_to_reject(monkeypatch, poset, reverse)
     built, rejected = [], []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table, columns, lawful):
+    def counting_build(poset, table, column):
         try:
-            built.append(build(poset, table, columns, lawful))
+            built.append(build(poset, table, column))
         except SharplatError:
             rejected.append([row[:] for row in table])
             raise
@@ -301,9 +301,9 @@ def test_enumeration_is_lazy(monkeypatch):
     built = []
     build = enumeration._trusted_lattice
 
-    def counting_build(poset, table, columns, lawful):
+    def counting_build(poset, table, column):
         built.append(None)
-        return build(poset, table, columns, lawful)
+        return build(poset, table, column)
 
     monkeypatch.setattr(enumeration, "_trusted_lattice", counting_build)
     first = list(islice(enumerate_structures(chain_poset(9)), 5))
@@ -313,33 +313,34 @@ def test_enumeration_is_lazy(monkeypatch):
 
 def test_row_laws_read_each_distinct_row_once(monkeypatch):
     # the 2,386 chain-8 leaves hold 14,316 interior rows but 856
-    # distinct ones: the search's lawful rows let the row-local laws read
-    # each distinct row once, while associativity reads every leaf
-    read, lawful_rows = [], core._lawful_rows
+    # distinct ones: the search's one memo of _residual_column, which
+    # checks the row-local laws and makes the row's residual column,
+    # reads each distinct row once (the bottom and identity rows too),
+    # while associativity reads every leaf
+    read, residual_column = [], core._residual_column
 
-    def counting(poset, rows):
-        read.extend(rows)
-        return lawful_rows(poset, rows)
+    def counting(*args):
+        read.append(args[-1])
+        return residual_column(*args)
 
-    monkeypatch.setattr(core, "_lawful_rows", counting)
+    monkeypatch.setattr(core, "_residual_column", counting)
     leaves = list(enumerate_structures(chain_poset(8)))
     interior = [row for L in leaves for row in L.mult[1:-1]]
     assert (len(leaves), len(interior), len(set(interior))) == (2386, 14316, 856)
-    assert len(read) == 856
-    assert set(read) == set(interior)
-    # a parsed document brings no lawful rows and reads every row
+    assert len(read) == len(set(read)) == 858
+    assert set(read) == {*interior, leaves[0].mult[0], leaves[0].mult[-1]}
+    # a parsed document has no memo and reads every row
     read.clear()
     parse_lattice(leaves[-1].serialize())
-    assert read == list(leaves[-1].mult[1:-1])
+    assert read == list(leaves[-1].mult)
 
 
 def test_census_memory_does_not_grow_with_structure_count():
     # the bound must not grow with the 2,386 structures: streamed, the
-    # census traced 0.54 MB here and 0.28 MB at chain 7, most of it the
-    # residual columns, lawful rows and principal verdicts kept per
-    # distinct row (856 interior rows here; 0.51 MB without the lawful
-    # rows, 0.25 and 0.12 MB when every leaf scanned its own); holding
-    # every lattice in a list traced 6.25 MB
+    # census traced 0.51 MB here and 0.23 MB at chain 7, most of it the
+    # search's memo from row to residual column and the principal
+    # verdicts, both kept per distinct row (856 interior rows here);
+    # holding every lattice in a list traced 6.25 MB
     tracemalloc.start()
     try:
         result = census(chain_poset(8))

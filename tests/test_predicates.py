@@ -17,7 +17,7 @@ from oracles import factorization_witnesses
 import sharplat
 from sharplat import cli, constructions, enumeration, gallery, parse_lattice, predicates
 from sharplat.core import FiniteMultLattice
-from sharplat.errors import ClaimFalsified
+from sharplat.errors import ClaimFalsified, InternalEquivalenceViolation
 from sharplat.predicates import (
     SharpnessReport,
     element_profile,
@@ -257,6 +257,18 @@ def test_table_definition_route_matches_full_scan(
     assert [predicates._sharp_by_definition(L) for L in larger] == [
         True, True, False, True, False
     ]
+
+
+@pytest.mark.parametrize("route", [
+    "_sharp_by_definition", "_sharp_by_divides", "_sharp_by_restricted_divides",
+])
+def test_a_route_that_disagrees_is_an_equivalence_violation(monkeypatch, nonsharp5, route):
+    # each named route is read by the four-way cross-check: one that
+    # answers the opposite of the others stops the report
+    answer = getattr(predicates, route)(nonsharp5)
+    monkeypatch.setattr(predicates, route, lambda L: not answer)
+    with pytest.raises(InternalEquivalenceViolation, match="sharpness checks disagree"):
+        sharpness_report(nonsharp5)
 
 
 def test_factorization_witnesses_match_fixture(fixtures_dir):
