@@ -38,28 +38,48 @@ from .errors import NotInModel, ZeroDivisor
 INFINITE = None
 
 
-@dataclass(frozen=True)
+def _check_int(value, least: int, message: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise NotInModel(message)
+
+
 class ZMinusElement:
     """The element with the given exponent: 0 is the top and identity,
     larger exponents sit lower, ``INFINITE`` is the bottom."""
 
-    exponent: int | None
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        exponent = self.exponent
-        if exponent is INFINITE:
-            return
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise NotInModel("exponent must be a nonnegative integer or INFINITE")
+    def __new__(cls, exponent: int | None):
+        if exponent is not INFINITE:
+            _check_int(exponent, 0, "exponent must be a nonnegative integer or INFINITE")
+        return _z(exponent)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ZMinusElement is immutable: cannot change {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (ZMinusElement, (self.exponent,))
 
     def is_bottom(self) -> bool:
         return self.exponent is INFINITE
 
+    def __eq__(self, other):
+        return self.exponent == other.exponent if type(other) is ZMinusElement else NotImplemented
+
+    def __hash__(self):
+        return hash(self.exponent)
+
+    def __repr__(self) -> str:
+        return f"ZMinusElement(exponent={self.exponent!r})"
+
 
 @lru_cache(maxsize=4096)
 def _z(exponent: int | None) -> ZMinusElement:
-    """The element with this exponent, shared while it stays cached."""
-    return ZMinusElement(exponent)
+    """The element with this exponent, unchecked, shared while it stays cached."""
+    z = object.__new__(ZMinusElement)
+    object.__setattr__(z, "exponent", exponent)
+    return z
 
 
 Z_TOP = _z(0)
@@ -251,8 +271,7 @@ class FGIdeal:
     def __post_init__(self):
         gens = self.generators
         for g in gens:
-            if isinstance(g, bool) or not isinstance(g, int) or g < 1:
-                raise NotInModel("generators must be positive integers")
+            _check_int(g, 1, "generators must be positive integers")
         object.__setattr__(self, "generators", _ideal(gens).generators)
 
     @classmethod
@@ -279,8 +298,7 @@ UNIT_IDEAL = FGIdeal.of(1)
 
 
 def ideal_member(a: FGIdeal, n: int) -> bool:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise NotInModel("membership is defined for positive integers")
+    _check_int(n, 1, "membership is defined for positive integers")
     return any(n % g == 0 for g in a.generators)
 
 
@@ -397,6 +415,7 @@ def counterexample_report() -> dict:
 def zminus_selftest(max_exponent: int = 100) -> dict:
     """Check the sharpness identity a == (a:(a:b)) (a:b) and residual
     soundness for every exponent pair in [0, max_exponent] + bottom."""
+    _check_int(max_exponent, 0, "max_exponent must be a nonnegative integer")
     carrier = [_z(k) for k in range(max_exponent + 1)] + [Z_BOTTOM]
     failures = []
     for a in carrier:
@@ -404,8 +423,7 @@ def zminus_selftest(max_exponent: int = 100) -> dict:
             r = z_residual(a, b)
             if not z_le(z_mult(r, b), a):
                 failures.append(("residual_bound", a.exponent, b.exponent))
-                continue
-            if z_mult(z_residual(a, r), r) != a:
+            elif not ((got := z_mult(z_residual(a, r), r)) is a or got == a):
                 failures.append(("sharp_identity", a.exponent, b.exponent))
     return {
         "model": "zminus",
@@ -427,6 +445,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
     """Seeded random pairs cycling through all four kind combinations:
     sharpness identity, residual soundness and maximality step, order
     compatibility."""
+    _check_int(trials, 0, "trials must be a nonnegative integer")
     rng = random.Random(seed)
     kinds = [(_CLOSED, _CLOSED), (_OPEN, _OPEN), (_CLOSED, _OPEN), (_OPEN, _CLOSED)]
     failures = []
@@ -464,6 +483,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
 def nideal_selftest(trials: int = 200, seed: int = 0) -> dict:
     """The counterexample chain plus seeded random residuals checked
     against the membership-scan oracle."""
+    _check_int(trials, 0, "trials must be a nonnegative integer")
     report = counterexample_report()
     rng = random.Random(seed)
     failures = []

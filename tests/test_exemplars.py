@@ -4,13 +4,14 @@ import copy
 import math
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharplat import exemplars
-from sharplat.errors import SharplatError, ZeroDivisor
+from sharplat.errors import NotInModel, SharplatError, ZeroDivisor
 from sharplat.exemplars import (
     FGIdeal,
     INFINITE,
@@ -143,6 +144,138 @@ def test_z_operations_share_elements_from_a_bounded_cache():
         Z_TOP, ZMinusElement(5)
     )
     assert exemplars._z.cache_info().maxsize is not None
+
+
+def _unshared(exponent):
+    """A ZMinusElement equal to the shared one but not it, as an element
+    evicted from the cache and built again would be."""
+    z = object.__new__(ZMinusElement)
+    object.__setattr__(z, "exponent", exponent)
+    return z
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 5, 300, INFINITE])
+def test_z_constructors_return_the_shared_element(exponent):
+    z = ZMinusElement(exponent)
+    assert z is ZMinusElement(exponent) is ZMinusElement(exponent=exponent)
+    assert z is exemplars._z(exponent)
+    assert z.exponent == exponent
+    assert (z is Z_BOTTOM) == (exponent is INFINITE) == z.is_bottom()
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 1.5, 2.0, True, False, math.inf, "3", (3,)])
+def test_z_validation_messages(bad):
+    for build in (lambda: ZMinusElement(bad), lambda: ZMinusElement(exponent=bad)):
+        with pytest.raises(NotInModel, match=r"^exponent must be a nonnegative integer or INFINITE$"):
+            build()
+
+
+def test_z_element_is_immutable():
+    z = ZMinusElement(5)
+    for name, value in (("exponent", 3), ("exponent", INFINITE), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(z, name, value)
+    with pytest.raises(AttributeError):
+        del z.exponent
+    assert not hasattr(z, "__dict__")
+    assert z.exponent == 5 and z is ZMinusElement(5)
+
+
+def test_z_copies_and_pickles_to_the_shared_element():
+    for z in (ZMinusElement(7), Z_TOP, Z_BOTTOM, _unshared(7)):
+        for y in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert y is ZMinusElement(z.exponent)
+
+
+def test_z_equality_and_hash_go_by_exponent():
+    for k in (0, 5, INFINITE):
+        twin = _unshared(k)
+        assert twin is not ZMinusElement(k)
+        assert twin == ZMinusElement(k) and not twin != ZMinusElement(k)
+        assert hash(twin) == hash(ZMinusElement(k))
+        assert len({twin, ZMinusElement(k)}) == 1
+    assert ZMinusElement(5) != ZMinusElement(6) and ZMinusElement(5) != Z_BOTTOM
+    for other in (5, 5.0, (5,), "ZMinusElement(exponent=5)", None):
+        assert (ZMinusElement(5) == other) is False
+        assert ZMinusElement(5) != other
+    assert (Z_BOTTOM == None) is False  # noqa: E711
+
+
+@pytest.mark.parametrize(
+    "element,text",
+    [
+        (Z_TOP, "ZMinusElement(exponent=0)"),
+        (ZMinusElement(5), "ZMinusElement(exponent=5)"),
+        (ZMinusElement(exponent=123), "ZMinusElement(exponent=123)"),
+        (Z_BOTTOM, "ZMinusElement(exponent=None)"),
+    ],
+)
+def test_z_repr_table(element, text):
+    assert repr(element) == text
+
+
+def _zminus_with_mult(monkeypatch, wrong, max_exponent=12):
+    """zminus_selftest with z_mult's result passed through
+    ``wrong(x, y, exact_product)``, for x and y its arguments."""
+    exact = exemplars.z_mult
+    monkeypatch.setattr(exemplars, "z_mult", lambda x, y: wrong(x, y, exact(x, y)))
+    return zminus_selftest(max_exponent)
+
+
+def test_zminus_selftest_passes_unshared_equal_products(monkeypatch):
+    # the identity test is a shortcut: equal elements that are not the
+    # shared ones must still pass by ==
+    fresh = []
+
+    def unshared(x, y, p):
+        fresh.append(_unshared(p.exponent))
+        return fresh[-1]
+
+    report = _zminus_with_mult(monkeypatch, unshared)
+    assert fresh and all(p is not ZMinusElement(p.exponent) for p in fresh)
+    assert report["failures"] == 0 and report["trials"] == 14 * 14
+
+
+def test_zminus_selftest_reports_one_wrong_product(monkeypatch):
+    # (5 : 3) = 2 and (5 : 2) = 3, so the identity multiplies 3 by 2
+    # only for the pair (5, 3); one exponent too many there lands one
+    # step below a, which still passes the residual bound of every pair
+    def off_by_one(x, y, p):
+        return ZMinusElement(p.exponent + 1) if (x.exponent, y.exponent) == (3, 2) else p
+
+    report = _zminus_with_mult(monkeypatch, off_by_one)
+    assert report["failures"] == 1
+    assert report["witnesses"] == [("sharp_identity", 5, 3)]
+
+
+def test_zminus_selftest_rejects_an_impostor_with_the_right_exponent(monkeypatch):
+    # an object of another class is not an element, whatever its exponent
+    report = _zminus_with_mult(monkeypatch, lambda x, y, p: SimpleNamespace(exponent=p.exponent))
+    assert report["failures"] == report["trials"] == 14 * 14
+    assert {label for label, _, _ in report["witnesses"]} == {"sharp_identity"}
+
+
+@pytest.mark.parametrize("run,count,name", [
+    (zminus_selftest, -4, "max_exponent"),
+    (zminus_selftest, True, "max_exponent"),
+    (zminus_selftest, 2.0, "max_exponent"),
+    (r1_selftest, -5, "trials"),
+    (r1_selftest, 2.5, "trials"),
+    (r1_selftest, False, "trials"),
+    (nideal_selftest, -3, "trials"),
+    (nideal_selftest, True, "trials"),
+    (nideal_selftest, "10", "trials"),
+])
+def test_selftests_reject_bad_counts(run, count, name):
+    with pytest.raises(NotInModel, match=rf"^{name} must be a nonnegative integer$"):
+        run(count)
+
+
+def test_selftests_accept_a_zero_count():
+    assert zminus_selftest(0)["trials"] == 4  # the top and the bottom
+    assert r1_selftest(0)["trials"] == 0
+    report = nideal_selftest(0)
+    assert report["trials"] == 0 and report["expected_outcome_confirmed"]
 
 
 # -- the real interval chain ---------------------------------------------
