@@ -21,23 +21,22 @@ from .predicates import prime_witness
 
 
 @dataclass(frozen=True)
-class LocalizationResult:
-    """The localized lattice, the projection x -> x_p (as new ids), and
-    the image carrier (new id -> original id)."""
-
+class _SubLattice:
     lattice: FiniteMultLattice
     projection: tuple[ElementId, ...]
     image: tuple[ElementId, ...]
 
 
 @dataclass(frozen=True)
-class QuotientResult:
+class LocalizationResult(_SubLattice):
+    """The localized lattice, the projection x -> x_p (as new ids), and
+    the image carrier (new id -> original id)."""
+
+
+@dataclass(frozen=True)
+class QuotientResult(_SubLattice):
     """The factor lattice on [a, top], the projection x -> x v a (as
     new ids), and the carrier (new id -> original id)."""
-
-    lattice: FiniteMultLattice
-    projection: tuple[ElementId, ...]
-    image: tuple[ElementId, ...]
 
 
 def _require_prime(L: FiniteMultLattice, p: ElementId) -> None:

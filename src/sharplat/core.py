@@ -417,14 +417,8 @@ class FiniteMultLattice(_Order):
     )
 
     def __init__(self, poset: FinitePoset, mult, provenance: dict | None = None):
-        n = poset.size
         mult = tuple(map(tuple, mult))
-        if len(mult) != n or any(len(row) != n for row in mult):
-            raise BadSchema(f"mult must be {n}x{n}")
-        if set(map(type, chain.from_iterable(mult))) != {int}:
-            raise BadSchema("mult entries must be ints")
-        if any(min(row) < 0 or max(row) >= n for row in mult):
-            raise BadSchema("mult entries out of range")
+        _check_mult(mult, poset.size)
         self._store(poset, mult, dict(provenance) if provenance else {})
 
     def _store(self, poset: FinitePoset, mult: tuple, provenance: dict,
@@ -597,6 +591,14 @@ def _require(condition: bool, message: str) -> None:
         raise BadSchema(message)
 
 
+def _check_mult(mult, n: int) -> None:
+    """Raise BadSchema unless ``mult`` is n x n of ints (not bools) in range(n)."""
+    _require(len(mult) == n and all(len(row) == n for row in mult),
+             f'"mult" must be a {n}x{n} matrix')
+    _require(all(type(v) is int and 0 <= v < n for row in mult for v in row),
+             '"mult" entries must be element indices')
+
+
 def _load(document: dict, keys: tuple[str, ...]) -> dict:
     """Check a decoded lattice document's shape: an object holding
     ``keys`` (``"elements"`` first, then n x n matrices), non-empty
@@ -645,10 +647,7 @@ def parse_lattice(document: dict) -> FiniteMultLattice:
     document = _load(document, ("elements", "leq", "mult"))
     n = len(document["elements"])
     mult = document["mult"]
-    _require(
-        all(type(v) is int and 0 <= v < n for row in mult for v in row),
-        '"mult" entries must be element indices',
-    )
+    _check_mult(mult, n)
     poset, order = FinitePoset.from_raw(document["elements"], document["leq"])
     inverse = sorted(range(n), key=order.__getitem__)  # inverse[old_id] = new_id
     new_mult = [[inverse[mult[a][b]] for b in order] for a in order]

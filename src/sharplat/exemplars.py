@@ -43,7 +43,15 @@ def _check_int(value, least: int, message: str) -> None:
         raise NotInModel(message)
 
 
-class ZMinusElement:
+class _Element:
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+    __delattr__ = __setattr__
+
+
+class ZMinusElement(_Element):
     """The element with the given exponent: 0 is the top and identity,
     larger exponents sit lower, ``INFINITE`` is the bottom."""
 
@@ -53,10 +61,6 @@ class ZMinusElement:
         if exponent is not INFINITE:
             _check_int(exponent, 0, "exponent must be a nonnegative integer or INFINITE")
         return _z(exponent)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ZMinusElement is immutable: cannot change {name!r}")
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return (ZMinusElement, (self.exponent,))
@@ -124,7 +128,7 @@ _OPEN = "open"
 _ZERO = "zero"
 
 
-class R1Element:
+class R1Element(_Element):
     """One of [r, inf] (closed), (r, inf] (open) or {inf} (zero), with
     an exact rational endpoint r >= 0.  closed(0) is the top and the
     multiplicative identity; zero is the bottom.  ``endpoint`` builds
@@ -143,9 +147,6 @@ class R1Element:
         if not isinstance(endpoint, Fraction):
             raise NotInModel("endpoint must be a nonnegative Fraction")
         return _r1(kind, endpoint.numerator, endpoint.denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"R1Element is immutable: cannot set {name!r}")
 
     def __reduce__(self):
         return (R1Element, (self.kind, self.endpoint))

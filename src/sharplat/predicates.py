@@ -93,46 +93,30 @@ def _cancellative_witness(L, x):
     return None
 
 
-def _meet_principal_witness(L, x):
-    """y ^ zx == ((y:x) ^ z) x for all y, z."""
+def _meet_principal_witness(L, x, _z=None):
+    """y ^ zx == ((y:x) ^ z) x for all y and z, or at z = ``_z`` only (witness (y,))."""
     mx = L.mult[x]  # zx == xz
     meets, residuals = L.meets, L.residuals
+    zs = range(L.size) if _z is None else (_z,)
     for y, my in enumerate(meets):
         mr = meets[residuals[y][x]]
-        for z in range(L.size):
+        for z in zs:
             if my[mx[z]] != mx[mr[z]]:
-                return (y, z)
+                return (y, z) if _z is None else (y,)
     return None
 
 
-def _weak_meet_principal_witness(L, x):
-    """(y:x) x == x ^ y for all y."""
-    for y in L.elements():
-        if L.mul(L.residual(y, x), x) != L.meet(x, y):
-            return (y,)
-    return None
-
-
-def _join_principal_witness(L, x):
-    """y v (z:x) == ((yx v z) : x) for all y, z."""
+def _join_principal_witness(L, x, _z=None):
+    """y v (z:x) == ((yx v z) : x) for all y and z, or at z = ``_z`` only (witness (y,))."""
     mx = L.mult[x]
     rx = [row[x] for row in L.residuals]  # (z:x) for every z
     joins = L.joins
+    zs = range(L.size) if _z is None else (_z,)
     for y, jy in enumerate(joins):
         jyx = joins[mx[y]]
-        for z in range(L.size):
+        for z in zs:
             if jy[rx[z]] != rx[jyx[z]]:
-                return (y, z)
-    return None
-
-
-def _weak_join_principal_witness(L, x):
-    """(xy:x) == y v (0:x) for all y (the quantifier runs over y; this
-    is the z = 0 specialization of join-principality)."""
-    zero_res = L.residual(0, x)
-    for y in L.elements():
-        if L.residual(L.mul(x, y), x) != L.join(y, zero_res):
-            return (y,)
+                return (y, z) if _z is None else (y,)
     return None
 
 
@@ -183,15 +167,17 @@ def element_profile(L: FiniteMultLattice, x: ElementId) -> ElementProfile:
 
 def _element_checks(L, x) -> dict:
     """The least witness against each element predicate for x, or None
-    where it holds."""
+    where it holds.  Weak meet-principality, (y:x) x == x ^ y for all y,
+    is the z = top row of the meet scan; weak join-principality,
+    (xy:x) == y v (0:x) for all y, is the z = 0 row of the join scan."""
     return {  # in key order, which is the order of ``witnesses``
         "is_cancellative": _cancellative_witness(L, x),
         "is_join_principal": _join_principal_witness(L, x),
         "is_maximal": _maximal_witness(L, x),
         "is_meet_principal": _meet_principal_witness(L, x),
         "is_prime": prime_witness(L, x),
-        "is_weak_join_principal": _weak_join_principal_witness(L, x),
-        "is_weak_meet_principal": _weak_meet_principal_witness(L, x),
+        "is_weak_join_principal": _join_principal_witness(L, x, 0),
+        "is_weak_meet_principal": _meet_principal_witness(L, x, L.top),
     }
 
 

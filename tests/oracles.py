@@ -20,12 +20,33 @@ are meant to check (``test_oracles`` parses this file to hold that).
 - :func:`masks` reads a relation's rows as bitmasks, one cell at a
   time;
 - :func:`residuals` finds each residual (y : x) as the greatest a with
-  ax <= y, reading only the lattice's own order and multiplication.
+  ax <= y, reading only the lattice's own order and multiplication;
+- :func:`weak_meet_principal_witness` and
+  :func:`weak_join_principal_witness` decide the weak principal forms
+  by their definitions, one y at a time;
+- :func:`zminus_quotient`, :func:`r1_quotient` and
+  :func:`nideal_quotient` write finite quotients of the exemplar models
+  as lattice documents, each product and order read off the model, and
+  return each with its carrier of model elements.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from sharplat import FinitePoset
+from sharplat.exemplars import (
+    FGIdeal,
+    R1Element,
+    ZMinusElement,
+    ideal_join,
+    ideal_le,
+    ideal_product,
+    r1_join,
+    r1_le,
+    r1_mult,
+    z_join,
+    z_le,
+    z_mult,
+)
 from sharplat.errors import (
     InternalValidationFailure,
     NoIdentity,
@@ -248,3 +269,67 @@ def residuals(L):
         )
         for y in L.elements()
     )
+
+
+def weak_meet_principal_witness(L, x):
+    """The least (y,) with (y:x) x != x ^ y, or None when x is weak
+    meet-principal."""
+    for y in L.elements():
+        if L.mul(L.residual(y, x), x) != L.meet(x, y):
+            return (y,)
+    return None
+
+
+def weak_join_principal_witness(L, x):
+    """The least (y,) with (xy:x) != y v (0:x), or None when x is weak
+    join-principal."""
+    zero_res = L.residual(0, x)
+    for y in L.elements():
+        if L.residual(L.mul(x, y), x) != L.join(y, zero_res):
+            return (y,)
+    return None
+
+
+def _quotient_document(carrier, le, mult, join):
+    """The lattice document on ``carrier``, a finite list of model
+    elements closed under the quotient product x*y = xy v c, where c
+    is the least element of ``carrier``; each element is named by its
+    ``repr``.  Returns the document and ``carrier``, in the same order."""
+    bottom = next(c for c in carrier if all(le(c, x) for x in carrier))
+    index = {x: i for i, x in enumerate(carrier)}
+    document = {
+        "elements": [repr(x) for x in carrier],
+        "leq": [[int(le(x, y)) for y in carrier] for x in carrier],
+        "mult": [[index[join(mult(x, y), bottom)] for y in carrier] for x in carrier],
+    }
+    return document, carrier
+
+
+def zminus_quotient(n):
+    """Z- factored by m^(n+1): the chain m^0 > m^1 > ... > m^(n+1), a
+    valuation chain of n + 2 elements."""
+    return _quotient_document([ZMinusElement(k) for k in range(n + 2)], z_le, z_mult, z_join)
+
+
+def r1_quotient(n):
+    """R1 factored by closed(n), on the integer grid: closed(k) for
+    k = 0..n and open(k) for k = 0..n-1, 2n + 1 elements.  Endpoints add
+    under the product and subtract under residuals, so the grid is
+    closed under both."""
+    carrier = [R1Element.closed(k) for k in range(n + 1)]
+    carrier += [R1Element.open(k) for k in range(n)]
+    return _quotient_document(carrier, r1_le, r1_mult, r1_join)
+
+
+def nideal_quotient():
+    """The monoid ideals generated by products of 2 and 3 that contain
+    <8, 27>, factored by <8, 27>: an ideal is fixed by which 2^i 3^j
+    with i, j < 3 it holds, an up-set of that 3 x 3 grid, so there are
+    C(6, 3) = 20 of them."""
+    grid = [2**i * 3**j for i in range(3) for j in range(3)]
+    carrier = {
+        FGIdeal.of(8, 27, *gens)
+        for k in range(len(grid) + 1) for gens in combinations(grid, k)
+    }
+    ordered = sorted(carrier, key=lambda a: sorted(a.generators))
+    return _quotient_document(ordered, ideal_le, ideal_product, ideal_join)

@@ -1,5 +1,6 @@
 """Localization and factor-lattice constructions."""
 
+from dataclasses import FrozenInstanceError, fields
 from itertools import product
 
 import oracles
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 
 from sharplat import constructions, core, enumeration, gallery, parse_lattice, predicates
 from sharplat.core import FiniteMultLattice, FinitePoset
-from sharplat.constructions import localize, localize_element, quotient
+from sharplat.constructions import (
+    LocalizationResult,
+    QuotientResult,
+    localize,
+    localize_element,
+    quotient,
+)
 from sharplat.errors import (
     DegenerateQuotient,
     InternalValidationFailure,
@@ -251,6 +258,22 @@ def test_quotient_preserves_sharp(census_structures):
 
 
 # -- shared builder -----------------------------------------------------
+
+
+def test_results_share_a_shape_but_not_a_type(diamond):
+    loc, quo = localize(diamond, 1), quotient(diamond, 1)
+    for result, cls, other in ((loc, LocalizationResult, QuotientResult),
+                               (quo, QuotientResult, LocalizationResult)):
+        assert [f.name for f in fields(result)] == ["lattice", "projection", "image"]
+        twin = cls(result.lattice, result.projection, result.image)
+        assert twin == result and hash(twin) == hash(result)
+        assert repr(result) == (f"{cls.__name__}(lattice={result.lattice!r}, "
+                                f"projection={result.projection!r}, image={result.image!r})")
+        assert not isinstance(result, other)
+        assert other(result.lattice, result.projection, result.image) != result
+        for name in ("image", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, ())
 
 
 @pytest.mark.parametrize("build,what", [(localize, "localized"), (quotient, "factor")])

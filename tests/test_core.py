@@ -7,7 +7,14 @@ from functools import cache
 from types import SimpleNamespace
 
 import pytest
-from conftest import POSET_P, SPLIT5, poset_slots, product_document, relisted
+from conftest import (
+    POSET_P,
+    SPLIT5,
+    chain_document,
+    poset_slots,
+    product_document,
+    relisted,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import masks, residuals, stable_topological_order, triple_scan
@@ -262,17 +269,38 @@ def test_empty_join_law_checked():
         FiniteMultLattice(FinitePoset(["0", "m", "1"], CHAIN3_LEQ), mult)
 
 
+_ENTRIES = '"mult" entries must be element indices'
+
+
 @pytest.mark.parametrize(
-    "cell, entry", [((1, 1), 0.9), ((1, 2), "1"), ((1, 2), True)], ids=["float", "str", "bool"]
+    "cell, entry, message",
+    [
+        ((1, 1), 0.9, _ENTRIES),
+        ((1, 2), "1", _ENTRIES),
+        ((1, 2), True, _ENTRIES),
+        ((2, 2), 3, _ENTRIES),
+        ((2, 2), -1, _ENTRIES),
+        ((2, 2), None, '"mult" must be a 3x3 matrix'),
+    ],
+    ids=["float", "str", "bool", "out-of-range", "negative", "shape"],
 )
-def test_mult_entries_must_be_ints(cell, entry):
-    # each table coerces by int() to the valid nil 3-chain; none may
-    # validate as that structure
+def test_mult_entries_must_be_ints(cell, entry, message):
+    # each table but the out-of-range ones coerces by int() to the valid
+    # nil 3-chain; none may validate as that structure, and the caller's
+    # table fails as the same document does (None drops the cell)
     mult = [[0, 0, 0], [0, 0, 1], [0, 1, 2]]
     i, j = cell
-    mult[i][j] = entry
-    with pytest.raises(BadSchema):
-        FiniteMultLattice(enumeration.chain_poset(3), mult)
+    if entry is None:
+        del mult[i][j]
+    else:
+        mult[i][j] = entry
+    for build in (
+        lambda: FiniteMultLattice(enumeration.chain_poset(3), mult),
+        lambda: parse_lattice(chain_document(3, mult)),
+    ):
+        with pytest.raises(BadSchema) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_one_element_lattice_validates():

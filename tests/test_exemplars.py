@@ -7,10 +7,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import nideal_quotient, r1_quotient, zminus_quotient
 
-from sharplat import exemplars
+from sharplat import exemplars, is_sharp, parse_lattice, theorem_audit
 from sharplat.errors import NotInModel, SharplatError, ZeroDivisor
 from sharplat.exemplars import (
     FGIdeal,
@@ -175,10 +177,14 @@ def test_z_element_is_immutable():
     for name, value in (("exponent", 3), ("exponent", INFINITE), ("extra", 1)):
         with pytest.raises(AttributeError):
             setattr(z, name, value)
-    with pytest.raises(AttributeError):
-        del z.exponent
+    for shared in (z, Z_TOP, Z_BOTTOM):
+        with pytest.raises(AttributeError):
+            del shared.exponent
     assert not hasattr(z, "__dict__")
     assert z.exponent == 5 and z is ZMinusElement(5)
+    # the shared constants still work after the attempts
+    assert z_mult(Z_TOP, z) is z and z_mult(Z_BOTTOM, z) is Z_BOTTOM
+    assert z_residual(z, Z_BOTTOM) is Z_TOP
 
 
 def test_z_copies_and_pickles_to_the_shared_element():
@@ -379,7 +385,15 @@ def test_r1_element_is_immutable():
     for name, value in (("kind", "closed"), ("endpoint", Fraction(1)), ("extra", 1)):
         with pytest.raises(AttributeError):
             setattr(x, name, value)
+    for shared in (x, R1_TOP, R1_ZERO):
+        for name in ("kind", "_num", "_den"):
+            with pytest.raises(AttributeError):
+                delattr(shared, name)
     assert x == R1Element.open(Fraction(7, 3))
+    # the shared constants still work after the attempts
+    one = R1Element.closed(1)
+    assert r1_mult(R1_TOP, one) == one and r1_mult(R1_ZERO, one) == R1_ZERO
+    assert r1_residual(one, R1_ZERO) == R1_TOP and repr(R1_TOP) == "R1[0,inf]"
 
 
 def test_r1_endpoint_reads_back_in_lowest_terms():
@@ -779,3 +793,45 @@ def test_ideal_minimality_invariant(a, b):
     assert ideal_equal(prod, FGIdeal(frozenset(g for g in gens)))
     # a product sits inside both factors
     assert ideal_le(prod, a) and ideal_le(prod, b)
+
+
+# -- finite quotients, checked by the lattice engine ------------------------
+
+_QUOTIENTS = {
+    "zminus": (lambda: zminus_quotient(6), z_residual, True),
+    "r1": (lambda: r1_quotient(6), r1_residual, True),
+    "nideal": (nideal_quotient, ideal_residual, False),
+}
+
+
+@pytest.mark.parametrize("model", _QUOTIENTS)
+def test_exemplar_quotients_against_the_engine(model):
+    # each quotient's residual lies above its dividend, so it is the
+    # model's own residual; the engine must find the same one
+    build, residual, sharp = _QUOTIENTS[model]
+    document, carrier = build()
+    L = parse_lattice(document)
+    element = dict(zip(document["elements"], carrier))
+    of = [element[name] for name in L.names]
+    assert L.size == {"zminus": 8, "r1": 13, "nideal": 20}[model]
+    for a in L.elements():
+        for b in L.elements():
+            assert of[L.residual(a, b)] == residual(of[a], of[b]), (of[a], of[b])
+    assert is_sharp(L) is sharp
+    assert not theorem_audit(L).falsified
+
+
+def test_zminus_quotient_is_the_valuation_chain():
+    assert parse_lattice(zminus_quotient(6)[0]).mult == parse_lattice(valuation_document(8)).mult
+
+
+def test_nideal_quotient_breaks_the_identity_at_the_counterexample():
+    # a = <4, 9>, b = <2, 3>: (a:b) = <4, 6, 9> and (a:(a:b)) = <2, 3>,
+    # whose product <8, 12, 18, 27> is not a
+    document, _ = nideal_quotient()
+    L = parse_lattice(document)
+    a, b = (L.id_of(repr(FGIdeal.of(*gens))) for gens in ((4, 9), (2, 3)))
+    ab = L.residual(a, b)
+    assert L.names[ab] == repr(FGIdeal.of(4, 6, 9))
+    assert L.residual(a, ab) == b
+    assert L.names[L.mul(b, ab)] == repr(FGIdeal.of(8, 12, 18, 27))

@@ -12,7 +12,11 @@ import pytest
 from conftest import nil_document, product_document, valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import factorization_witnesses
+from oracles import (
+    factorization_witnesses,
+    weak_join_principal_witness,
+    weak_meet_principal_witness,
+)
 
 import sharplat
 from sharplat import cli, constructions, enumeration, gallery, parse_lattice, predicates
@@ -115,6 +119,24 @@ def test_nonsharp5_principal_set(nonsharp5):
     assert nonsharp5.residual(nonsharp5.mul(c, c), c) == nonsharp5.top
     assert nonsharp5.join(c, nonsharp5.residual(0, c)) == c
     assert predicates.principal_elements(nonsharp5) == (0, nonsharp5.top)
+
+
+def test_weak_forms_match_their_definitions(census_structures, poset_p_structures):
+    # the report reads the weak forms off the principal scans' z = top
+    # and z = 0 rows; the oracles scan the definitions, witnesses included
+    lattices = [L for key, ls in census_structures.items() if key.startswith("chain")
+                for L in ls]
+    lattices += enumeration.enumerate_structures(enumeration.chain_poset(7))
+    lattices += poset_p_structures
+    oracles = {
+        "is_weak_meet_principal": weak_meet_principal_witness,
+        "is_weak_join_principal": weak_join_principal_witness,
+    }
+    for L in lattices:
+        for x in L.elements():
+            witnesses = element_profile(L, x).witnesses
+            for key, oracle in oracles.items():
+                assert witnesses.get(key) == oracle(L, x), (L.mult, x, key)
 
 
 def test_profile_implications_on_census(census_structures):
@@ -325,10 +347,7 @@ def test_all_weak_meet_principal_implies_sharp(census_structures):
     hit = 0
     for structures in census_structures.values():
         for L in structures:
-            if all(
-                predicates._weak_meet_principal_witness(L, x) is None
-                for x in L.elements()
-            ):
+            if all(weak_meet_principal_witness(L, x) is None for x in L.elements()):
                 hit += 1
                 assert predicates.is_sharp(L)
     assert hit > 0  # mult == meet structures exist (e.g. the diamond)
@@ -642,8 +661,9 @@ _ELEMENT_SCANS = (
 
 
 def test_full_report_scans_each_element_once(monkeypatch, tmp_path, capsys):
-    # one full ``report`` runs each element scan once per element of the
-    # parsed lattice, and keeps nothing of it after the call
+    # one full ``report`` runs each element scan, and each restriction of
+    # the principal scans, once per element of the parsed lattice, and
+    # keeps nothing of it after the call
     parsed = None
 
     def parse(document):
@@ -657,10 +677,10 @@ def test_full_report_scans_each_element_once(monkeypatch, tmp_path, capsys):
     for name in _ELEMENT_SCANS:
         scan = getattr(predicates, name)
 
-        def counting(L, x, scan=scan, name=name):
+        def counting(L, x, *rows, scan=scan, name=name):
             if parsed is not None and L is parsed():
-                calls[name, x] += 1
-            return scan(L, x)
+                calls[(name, *rows), x] += 1
+            return scan(L, x, *rows)
 
         # constructions binds prime_witness by name
         for module in (predicates, constructions):
@@ -674,7 +694,11 @@ def test_full_report_scans_each_element_once(monkeypatch, tmp_path, capsys):
         assert cli.main(["report", str(path)]) == 0
         capsys.readouterr()
         ids = range(len(doc["elements"]))
-        assert calls == {(name, x): 1 for name in _ELEMENT_SCANS for x in ids}, key
+        # the weak forms are the meet scan's z = top row and the join
+        # scan's z = 0 row, each counted apart from its full scan
+        keys = [(name,) for name in _ELEMENT_SCANS]
+        keys += [("_meet_principal_witness", ids[-1]), ("_join_principal_witness", 0)]
+        assert calls == {(k, x): 1 for k in keys for x in ids}, key
         gc.collect()
         assert parsed() is None, key
 
