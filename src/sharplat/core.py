@@ -417,7 +417,10 @@ class FiniteMultLattice(_Order):
     )
 
     def __init__(self, poset: FinitePoset, mult, provenance: dict | None = None):
-        mult = tuple(map(tuple, mult))
+        try:
+            mult = tuple(map(tuple, mult))
+        except TypeError:  # mult or a row is not iterable, so not a matrix
+            mult = ()
         _check_mult(mult, poset.size)
         self._store(poset, mult, dict(provenance) if provenance else {})
 

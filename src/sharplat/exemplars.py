@@ -24,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress
 from math import gcd
 from operator import and_
+from threading import Lock
 
 from .errors import NotInModel, ZeroDivisor
 
@@ -78,16 +79,35 @@ class ZMinusElement(_Element):
         return f"ZMinusElement(exponent={self.exponent!r})"
 
 
-@lru_cache(maxsize=4096)
-def _z(exponent: int | None) -> ZMinusElement:
-    """The element with this exponent, unchecked, shared while it stays cached."""
+def _new_z(exponent: int | None) -> ZMinusElement:
     z = object.__new__(ZMinusElement)
     object.__setattr__(z, "exponent", exponent)
     return z
 
 
+# entry k is the shared element of exponent k; the table grows on first
+# use, under a lock so that entry k always has exponent k, and stops at
+# _ZS_BOUND, past which elements are built unshared
+_ZS_BOUND = 4096
+_ZS: list[ZMinusElement] = []
+_ZS_GROWING = Lock()
+
+
+def _z(exponent: int | None) -> ZMinusElement:
+    """The element with this exponent, unchecked: the shared one below
+    ``_ZS_BOUND`` and for the bottom, an equal new one past it."""
+    if exponent is INFINITE:
+        return Z_BOTTOM
+    if exponent >= _ZS_BOUND:
+        return _new_z(exponent)
+    with _ZS_GROWING:
+        for k in range(len(_ZS), exponent + 1):
+            _ZS.append(_new_z(k))
+    return _ZS[exponent]
+
+
+Z_BOTTOM = _new_z(INFINITE)
 Z_TOP = _z(0)
-Z_BOTTOM = _z(INFINITE)
 
 
 def z_le(a: ZMinusElement, b: ZMinusElement) -> bool:
@@ -98,7 +118,12 @@ def z_le(a: ZMinusElement, b: ZMinusElement) -> bool:
 
 def z_mult(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
     x, y = a.exponent, b.exponent
-    return Z_BOTTOM if x is INFINITE or y is INFINITE else _z(x + y)
+    if x is INFINITE or y is INFINITE:
+        return Z_BOTTOM
+    try:
+        return _ZS[x + y]
+    except IndexError:
+        return _z(x + y)
 
 
 def z_join(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
@@ -118,7 +143,12 @@ def z_residual(a: ZMinusElement, b: ZMinusElement) -> ZMinusElement:
         return Z_TOP
     if x is INFINITE:
         return Z_BOTTOM
-    return Z_TOP if x <= y else _z(x - y)
+    if x <= y:
+        return Z_TOP
+    try:
+        return _ZS[x - y]
+    except IndexError:
+        return _z(x - y)
 
 
 # -- the real-valued interval chain ------------------------------------

@@ -281,19 +281,25 @@ _ENTRIES = '"mult" entries must be element indices'
         ((2, 2), 3, _ENTRIES),
         ((2, 2), -1, _ENTRIES),
         ((2, 2), None, '"mult" must be a 3x3 matrix'),
+        (None, None, '"mult" must be a 3x3 matrix'),
+        (2, 5, '"mult" must be a 3x3 matrix'),
     ],
-    ids=["float", "str", "bool", "out-of-range", "negative", "shape"],
+    ids=["float", "str", "bool", "out-of-range", "negative", "shape", "no-table", "int-row"],
 )
 def test_mult_entries_must_be_ints(cell, entry, message):
     # each table but the out-of-range ones coerces by int() to the valid
     # nil 3-chain; none may validate as that structure, and the caller's
-    # table fails as the same document does (None drops the cell)
+    # table fails as the same document does (None drops the cell); a
+    # cell of None replaces the whole table, an int cell one row
     mult = [[0, 0, 0], [0, 0, 1], [0, 1, 2]]
-    i, j = cell
-    if entry is None:
-        del mult[i][j]
+    if cell is None:
+        mult = entry
+    elif isinstance(cell, int):
+        mult[cell] = entry
+    elif entry is None:
+        del mult[cell[0]][cell[1]]
     else:
-        mult[i][j] = entry
+        mult[cell[0]][cell[1]] = entry
     for build in (
         lambda: FiniteMultLattice(enumeration.chain_poset(3), mult),
         lambda: parse_lattice(chain_document(3, mult)),

@@ -3,6 +3,8 @@
 import copy
 import math
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -101,9 +103,9 @@ def test_z_selftest_all_pairs():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    a=st.integers(min_value=0, max_value=40),
-    b=st.integers(min_value=0, max_value=40),
-    c=st.integers(min_value=0, max_value=40),
+    a=st.integers(min_value=0, max_value=2 * exemplars._ZS_BOUND),
+    b=st.integers(min_value=0, max_value=2 * exemplars._ZS_BOUND),
+    c=st.integers(min_value=0, max_value=2 * exemplars._ZS_BOUND),
 )
 def test_z_multiplication_order_preserving(a, b, c):
     ea, eb, ec = ZMinusElement(a), ZMinusElement(b), ZMinusElement(c)
@@ -145,18 +147,57 @@ def test_z_operations_share_elements_from_a_bounded_cache():
     assert z_residual(ZMinusElement(9), ZMinusElement(4)) is z_mult(
         Z_TOP, ZMinusElement(5)
     )
-    assert exemplars._z.cache_info().maxsize is not None
+    # products and residuals across the bound: below it every result is
+    # the shared element, and one taken before the run is never evicted;
+    # past it results are equal to the element, not shared, not stored
+    bound = exemplars._ZS_BOUND
+    kept = ZMinusElement(bound - 1)
+    far = ZMinusElement(2 * bound)
+    for k in range(2 * bound + 1):
+        z = ZMinusElement(k)
+        for got, exponent in ((z_mult(kept, z), bound - 1 + k), (z_residual(far, z), 2 * bound - k)):
+            if exponent < bound:
+                assert got is ZMinusElement(exponent)
+            else:
+                assert got == ZMinusElement(exponent) and hash(got) == hash(ZMinusElement(exponent))
+    assert len(exemplars._ZS) <= bound
+    assert kept is ZMinusElement(bound - 1) is exemplars._z(bound - 1)
+
+
+def test_z_table_grows_consistently_under_threads(monkeypatch):
+    # an empty table grown by more threads than cores, switching often:
+    # entry k must hold exponent k, and every thread gets the same element
+    monkeypatch.setattr(exemplars, "_ZS", [])
+    bound = exemplars._ZS_BOUND
+    seen = [[] for _ in range(8)]
+
+    def grow(out):
+        out.extend(z_mult(Z_TOP, ZMinusElement(k)) for k in range(0, bound, 3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [z.exponent for z in exemplars._ZS] == list(range(len(exemplars._ZS)))
+    assert all(a is b for out in seen for a, b in zip(out, seen[0], strict=True))
 
 
 def _unshared(exponent):
-    """A ZMinusElement equal to the shared one but not it, as an element
-    evicted from the cache and built again would be."""
+    """A ZMinusElement equal to the shared one but not it, as every
+    element past the shared table's bound is."""
     z = object.__new__(ZMinusElement)
     object.__setattr__(z, "exponent", exponent)
     return z
 
 
-@pytest.mark.parametrize("exponent", [0, 1, 5, 300, INFINITE])
+@pytest.mark.parametrize("exponent", [0, 1, 5, 300, exemplars._ZS_BOUND - 1, INFINITE])
 def test_z_constructors_return_the_shared_element(exponent):
     z = ZMinusElement(exponent)
     assert z is ZMinusElement(exponent) is ZMinusElement(exponent=exponent)
