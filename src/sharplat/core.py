@@ -89,13 +89,19 @@ def _checked_order(names, leq) -> tuple:
     """``names`` as a tuple of distinct strings, then ``leq`` as a tuple
     of bool rows checked to be a partial order on them, with its up-set
     and down-set masks (so a bad name is reported before a bad order)."""
-    names = tuple(str(x) for x in names)
+    try:
+        names = tuple(str(x) for x in names)
+    except TypeError:  # names is not iterable
+        raise BadSchema("element names must be iterable") from None
     if not names:
         raise NotALattice("empty carrier has no bottom/top")
     if len(set(names)) != len(names):
         raise BadSchema("element names are not distinct")
     n = len(names)
-    leq = tuple(tuple(bool(v) for v in row) for row in leq)
+    try:
+        leq = tuple(tuple(bool(v) for v in row) for row in leq)
+    except TypeError:  # leq or a row is not iterable, so not a matrix
+        leq = ()
     if len(leq) != n or any(len(row) != n for row in leq):
         raise BadSchema(f"leq must be {n}x{n}")
     up, down = _masks(leq), _masks(zip(*leq))

@@ -38,9 +38,15 @@ from functools import cache
 
 from . import predicates
 from .core import FiniteMultLattice, FinitePoset, _bits, _columns, _trusted_lattice
-from .errors import SharplatError, SizeTooSmall
+from .errors import BadSchema, SharplatError, SizeTooSmall
 
 _MIDDLE_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _check_size(value, name: str) -> None:
+    # a bool is not a size, though True == 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadSchema(f"{name} must be an integer")
 
 
 def chain_poset(n: int) -> FinitePoset:
@@ -50,6 +56,7 @@ def chain_poset(n: int) -> FinitePoset:
     element is called m (the local maximal), longer chains use
     a, b, c, ...
     """
+    _check_size(n, "chain size")
     if n < 2:
         raise SizeTooSmall("a chain needs at least bottom and top")
     if n == 3:
@@ -68,6 +75,7 @@ def diamond_poset(width: int) -> FinitePoset:
 
     width = 2 is the four-element diamond with interior p, q.
     """
+    _check_size(width, "diamond width")
     if width < 1:
         raise SizeTooSmall("diamond needs at least one interior element")
     letters = "pqrstuvwxyz"

@@ -187,11 +187,11 @@ class R1Element(_Element):
 
     @classmethod
     def closed(cls, r) -> "R1Element":
-        return cls(_CLOSED, Fraction(r))
+        return cls(_CLOSED, _fraction(r))
 
     @classmethod
     def open(cls, r) -> "R1Element":
-        return cls(_OPEN, Fraction(r))
+        return cls(_OPEN, _fraction(r))
 
     @classmethod
     def zero(cls) -> "R1Element":
@@ -215,8 +215,20 @@ class R1Element(_Element):
         return f"R1{left}{self.endpoint},inf]"
 
 
+def _fraction(r) -> Fraction:
+    """``Fraction(r)``, or NotInModel for a bool or what does not parse
+    as a finite rational (None, "abc", nan, inf)."""
+    if not isinstance(r, bool):
+        try:
+            return Fraction(r)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise NotInModel("endpoint must be a nonnegative Fraction")
+
+
 # the slots' own setters, which get past the immutable __setattr__
 _set_kind, _set_num, _set_den = (getattr(R1Element, n).__set__ for n in R1Element.__slots__)
+_new = object.__new__
 
 
 def _r1(kind: str, num: int, den: int) -> R1Element:
@@ -225,10 +237,13 @@ def _r1(kind: str, num: int, den: int) -> R1Element:
     if num < 0:
         raise NotInModel("endpoint must be a nonnegative Fraction")
     g = gcd(num, den)
-    x = object.__new__(R1Element)
+    if g != 1:
+        num //= g
+        den //= g
+    x = _new(R1Element)
     _set_kind(x, kind)
-    _set_num(x, num // g)
-    _set_den(x, den // g)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
 
 
@@ -238,13 +253,14 @@ R1_ZERO = R1Element.zero()
 
 def r1_le(a: R1Element, b: R1Element) -> bool:
     """Set inclusion; the family is totally ordered."""
-    if a.kind == _ZERO:
+    ka, kb = a.kind, b.kind
+    if ka == _ZERO:
         return True
-    if b.kind == _ZERO:
+    if kb == _ZERO:
         return False
     # the sign of endpoint(a) - endpoint(b), by cross-multiplication
     d = a._num * b._den - b._num * a._den
-    if b.kind == _CLOSED or a.kind == _OPEN:
+    if kb == _CLOSED or ka == _OPEN:
         return d >= 0
     return d > 0  # closed inside open needs a strict step
 
@@ -252,10 +268,12 @@ def r1_le(a: R1Element, b: R1Element) -> bool:
 def r1_mult(a: R1Element, b: R1Element) -> R1Element:
     """Interval addition: endpoints add, the sum is closed only when
     both factors are closed, and the bottom absorbs."""
-    if a.kind == _ZERO or b.kind == _ZERO:
+    ka, kb = a.kind, b.kind
+    if ka == _ZERO or kb == _ZERO:
         return R1_ZERO
-    kind = _CLOSED if (a.kind == _CLOSED and b.kind == _CLOSED) else _OPEN
-    return _r1(kind, a._num * b._den + b._num * a._den, a._den * b._den)
+    kind = _CLOSED if (ka == _CLOSED and kb == _CLOSED) else _OPEN
+    ad, bd = a._den, b._den
+    return _r1(kind, a._num * bd + b._num * ad, ad * bd)
 
 
 def r1_join(a: R1Element, b: R1Element) -> R1Element:
@@ -276,15 +294,17 @@ def r1_residual(a: R1Element, b: R1Element) -> R1Element:
     divisor is contained in the dividend (d < 0 in the strict case,
     d <= 0 otherwise) the residual is the whole top.
     """
-    if b.kind == _ZERO:
+    ka, kb = a.kind, b.kind
+    if kb == _ZERO:
         return R1_TOP
-    if a.kind == _ZERO:
+    if ka == _ZERO:
         return R1_ZERO
-    # endpoint(a) - endpoint(b) == d / (a._den * b._den)
-    d = a._num * b._den - b._num * a._den
-    if a.kind == _OPEN and b.kind == _CLOSED:
-        return R1_TOP if d < 0 else _r1(_OPEN, d, a._den * b._den)
-    return R1_TOP if d <= 0 else _r1(_CLOSED, d, a._den * b._den)
+    # endpoint(a) - endpoint(b) == d / (ad * bd)
+    ad, bd = a._den, b._den
+    d = a._num * bd - b._num * ad
+    if ka == _OPEN and kb == _CLOSED:
+        return R1_TOP if d < 0 else _r1(_OPEN, d, ad * bd)
+    return R1_TOP if d <= 0 else _r1(_CLOSED, d, ad * bd)
 
 
 # -- finitely generated monoid ideals ----------------------------------
@@ -300,7 +320,10 @@ class FGIdeal:
     generators: frozenset[int]
 
     def __post_init__(self):
-        gens = self.generators
+        try:
+            gens = frozenset(self.generators)
+        except TypeError:  # not an iterable of hashables, so no generator set
+            raise NotInModel("generators must be positive integers") from None
         for g in gens:
             _check_int(g, 1, "generators must be positive integers")
         object.__setattr__(self, "generators", _ideal(gens).generators)
@@ -464,11 +487,21 @@ def zminus_selftest(max_exponent: int = 100) -> dict:
     }
 
 
-def _r1_random_element(rng: random.Random) -> R1Element:
-    if rng.randrange(40) == 0:
+def _below(bits, n: int, k: int) -> int:
+    """``randrange(n)`` as CPython draws it, given ``bits``, a
+    ``Random``'s ``getrandbits``, and k = n.bit_length(): k fresh bits
+    until they fall below n, so a seed gives the same stream."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _r1_random_element(bits) -> R1Element:
+    if _below(bits, 40, 6) == 0:
         return R1_ZERO
-    num, den = rng.randrange(0, 2000), rng.randrange(1, 60)
-    kind = _CLOSED if rng.randrange(2) == 0 else _OPEN
+    num, den = _below(bits, 2000, 11), 1 + _below(bits, 59, 6)
+    kind = _CLOSED if _below(bits, 2, 2) == 0 else _OPEN
     return _r1(kind, num, den)
 
 
@@ -477,19 +510,19 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
     sharpness identity, residual soundness and maximality step, order
     compatibility."""
     _check_int(trials, 0, "trials must be a nonnegative integer")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     kinds = [(_CLOSED, _CLOSED), (_OPEN, _OPEN), (_CLOSED, _OPEN), (_OPEN, _CLOSED)]
     failures = []
-    combos = {k: 0 for k in kinds}
+    combos = [0] * len(kinds)
     for t in range(trials):
         if t % 29 == 28:
-            a = R1_ZERO if t % 2 == 0 else _r1_random_element(rng)
-            b = _r1_random_element(rng)
+            a = R1_ZERO if t % 2 == 0 else _r1_random_element(bits)
+            b = _r1_random_element(bits)
         else:
             ka, kb = kinds[t % 4]
-            combos[(ka, kb)] += 1
-            a = _r1(ka, rng.randrange(0, 2000), rng.randrange(1, 60))
-            b = _r1(kb, rng.randrange(0, 2000), rng.randrange(1, 60))
+            combos[t % 4] += 1
+            a = _r1(ka, _below(bits, 2000, 11), 1 + _below(bits, 59, 6))
+            b = _r1(kb, _below(bits, 2000, 11), 1 + _below(bits, 59, 6))
         r = r1_residual(a, b)
         if not r1_le(r1_mult(r, b), a):
             failures.append(("residual_bound", repr(a), repr(b)))
@@ -497,7 +530,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
         if r1_mult(r1_residual(a, r), r) != a:
             failures.append(("sharp_identity", repr(a), repr(b)))
         # just above an open r (never top or zero), x*b <= a must fail
-        if r.kind == _OPEN and not a.is_zero():
+        if r.kind == _OPEN and a.kind != _ZERO:
             bigger = _r1(_CLOSED, r._num, r._den)
             if r1_le(r1_mult(bigger, b), a):
                 failures.append(("residual_maximality", repr(a), repr(b)))
@@ -505,7 +538,7 @@ def r1_selftest(trials: int = 1000, seed: int = 0) -> dict:
         "model": "r1",
         "trials": trials,
         "seed": seed,
-        "kind_pairs": {f"{ka}/{kb}": c for (ka, kb), c in combos.items()},
+        "kind_pairs": {f"{ka}/{kb}": c for (ka, kb), c in zip(kinds, combos)},
         "failures": len(failures),
         "witnesses": failures[:10],
     }
@@ -516,11 +549,11 @@ def nideal_selftest(trials: int = 200, seed: int = 0) -> dict:
     against the membership-scan oracle."""
     _check_int(trials, 0, "trials must be a nonnegative integer")
     report = counterexample_report()
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     failures = []
     for _ in range(trials):
-        a = FGIdeal(frozenset(rng.randrange(1, 25) for _ in range(rng.randrange(1, 4))))
-        b = FGIdeal(frozenset(rng.randrange(1, 25) for _ in range(rng.randrange(1, 3))))
+        a = FGIdeal(frozenset(1 + _below(bits, 24, 5) for _ in range(1 + _below(bits, 3, 2))))
+        b = FGIdeal(frozenset(1 + _below(bits, 24, 5) for _ in range(1 + _below(bits, 2, 2))))
         if b.is_zero():
             continue
         r = ideal_residual(a, b)

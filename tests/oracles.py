@@ -27,14 +27,21 @@ are meant to check (``test_oracles`` parses this file to hold that).
 - :func:`zminus_quotient`, :func:`r1_quotient` and
   :func:`nideal_quotient` write finite quotients of the exemplar models
   as lattice documents, each product and order read off the model, and
-  return each with its carrier of model elements.
+  return each with its carrier of model elements;
+- :func:`r1_selftest_pairs` and :func:`nideal_selftest_pairs` draw the
+  (a, b) pairs the exemplar self-tests check, with
+  ``random.Random(seed).randrange``, call for call; the self-tests
+  draw from ``getrandbits`` themselves and must give the same stream.
 """
 
+import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from sharplat import FinitePoset
 from sharplat.exemplars import (
     FGIdeal,
+    R1_ZERO,
     R1Element,
     ZMinusElement,
     ideal_join,
@@ -333,3 +340,45 @@ def nideal_quotient():
     }
     ordered = sorted(carrier, key=lambda a: sorted(a.generators))
     return _quotient_document(ordered, ideal_le, ideal_product, ideal_join)
+
+
+def r1_selftest_pairs(trials, seed):
+    """The (a, b) pairs of ``r1_selftest(trials, seed)``: trial t draws
+    a kind pair from the four in turn, then an endpoint num/den for a
+    and for b, num in [0, 2000) and den in [1, 60); every 29th trial
+    instead takes a bottom a (t even) or a random element, then a
+    random b, where a random element is the bottom with chance 1/40
+    and otherwise an endpoint and then a kind."""
+    rng = random.Random(seed)
+    kinds = [("closed", "closed"), ("open", "open"), ("closed", "open"), ("open", "closed")]
+
+    def endpoint():
+        return Fraction(rng.randrange(0, 2000), rng.randrange(1, 60))
+
+    def anything():
+        if rng.randrange(40) == 0:
+            return R1_ZERO
+        r = endpoint()
+        return R1Element("closed" if rng.randrange(2) == 0 else "open", r)
+
+    # a tuple's items are evaluated left to right, so a draws before b
+    pairs = []
+    for t in range(trials):
+        if t % 29 == 28:
+            pairs.append((R1_ZERO if t % 2 == 0 else anything(), anything()))
+        else:
+            ka, kb = kinds[t % 4]
+            pairs.append((R1Element(ka, endpoint()), R1Element(kb, endpoint())))
+    return pairs
+
+
+def nideal_selftest_pairs(trials, seed):
+    """The (a, b) pairs of ``nideal_selftest(trials, seed)``: a has 1-3
+    generators and b 1-2, each count drawn before its generators, each
+    generator in [1, 25)."""
+    rng = random.Random(seed)
+
+    def ideal(most):
+        return FGIdeal(frozenset(rng.randrange(1, 25) for _ in range(rng.randrange(1, most + 1))))
+
+    return [(ideal(3), ideal(2)) for _ in range(trials)]

@@ -163,6 +163,25 @@ def test_schema_diagnostics_are_exact(parse, doc, message):
     assert err.value.witness is None
 
 
+@pytest.mark.parametrize("build", [FinitePoset, FinitePoset.from_raw])
+@pytest.mark.parametrize(
+    "names,leq,message",
+    [
+        (["0", "1"], None, "leq must be 2x2"),
+        (["0", "1"], [[1, 1], 5], "leq must be 2x2"),
+        (["0", "1"], [[1, 1]], "leq must be 2x2"),
+        (None, [[1, 1], [0, 1]], "element names must be iterable"),
+        (["0", "0"], [[1, 1], [0, 1]], "element names are not distinct"),
+    ],
+    ids=["no-table", "int-row", "short", "no-names", "repeated-name"],
+)
+def test_poset_constructor_diagnostics_are_exact(build, names, leq, message):
+    # a caller's non-iterable table or names is a schema error, not a TypeError
+    with pytest.raises(BadSchema) as err:
+        build(names, leq)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "doc,message",
     [

@@ -17,7 +17,7 @@ from sharplat.enumeration import (
     diamond_poset,
     enumerate_structures,
 )
-from sharplat.errors import SharplatError, SizeTooSmall
+from sharplat.errors import BadSchema, SharplatError, SizeTooSmall
 
 
 def test_chain_poset_shapes():
@@ -25,16 +25,30 @@ def test_chain_poset_shapes():
     assert chain_poset(3).names == ("0", "m", "1")
     assert chain_poset(5).names == ("0", "a", "b", "c", "1")
     assert chain_poset(5).is_chain()
-    with pytest.raises(SizeTooSmall):
-        chain_poset(1)
 
 
 def test_diamond_poset_shapes():
     d = diamond_poset(2)
     assert d.names == ("0", "p", "q", "1")
     assert not d.is_chain()
-    with pytest.raises(SizeTooSmall):
-        diamond_poset(0)
+
+
+@pytest.mark.parametrize(
+    "build,size,error,message",
+    [
+        (chain_poset, 1, SizeTooSmall, "a chain needs at least bottom and top"),
+        (diamond_poset, 0, SizeTooSmall, "diamond needs at least one interior element"),
+        (chain_poset, 2.5, BadSchema, "chain size must be an integer"),
+        (chain_poset, 3.0, BadSchema, "chain size must be an integer"),
+        (chain_poset, True, BadSchema, "chain size must be an integer"),
+        (diamond_poset, "a", BadSchema, "diamond width must be an integer"),
+        (diamond_poset, None, BadSchema, "diamond width must be an integer"),
+    ],
+)
+def test_poset_builders_raise_typed_errors(build, size, error, message):
+    with pytest.raises(error) as err:
+        build(size)
+    assert str(err.value) == message
 
 
 # counts pinned from the interior-cell sweep (n <= 5), two-run

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -12,7 +13,13 @@ import pytest
 from conftest import valuation_document
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import nideal_quotient, r1_quotient, zminus_quotient
+from oracles import (
+    nideal_quotient,
+    nideal_selftest_pairs,
+    r1_quotient,
+    r1_selftest_pairs,
+    zminus_quotient,
+)
 
 from sharplat import exemplars, is_sharp, parse_lattice, theorem_audit
 from sharplat.errors import NotInModel, SharplatError, ZeroDivisor
@@ -318,6 +325,47 @@ def test_selftests_reject_bad_counts(run, count, name):
         run(count)
 
 
+def _checked_pairs(monkeypatch, name):
+    """Record the (a, b) of every call the self-tests make to the
+    module global ``name``, passing each call through."""
+    exact, calls = getattr(exemplars, name), []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return exact(a, b)
+
+    monkeypatch.setattr(exemplars, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_r1_selftest_checks_the_randrange_pairs(monkeypatch, seed):
+    # each trial calls (a : b), then (a : (a : b)) with the same a
+    calls = _checked_pairs(monkeypatch, "r1_residual")
+    assert r1_selftest(20000, seed)["failures"] == 0
+    pairs = r1_selftest_pairs(20000, seed)
+    assert calls[::2] == pairs
+    assert [a for a, _ in calls[1::2]] == [a for a, _ in pairs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nideal_selftest_checks_the_randrange_pairs(monkeypatch, seed):
+    # the counterexample report's residuals come first, then one per trial
+    calls = _checked_pairs(monkeypatch, "ideal_residual")
+    nideal_selftest(0, seed)
+    fixed = len(calls)
+    nideal_selftest(1000, seed)
+    assert calls[2 * fixed:] == nideal_selftest_pairs(1000, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 24, 40, 59, 2000])
+def test_below_draws_as_randrange(n):
+    for seed in range(3):
+        bits, rng = random.Random(seed).getrandbits, random.Random(seed)
+        drawn = [exemplars._below(bits, n, n.bit_length()) for _ in range(500)]
+        assert drawn == [rng.randrange(n) for _ in range(500)]
+
+
 def test_selftests_accept_a_zero_count():
     assert zminus_selftest(0)["trials"] == 4  # the top and the bottom
     assert r1_selftest(0)["trials"] == 0
@@ -419,6 +467,14 @@ def test_r1_element_validation():
     _rejects(R1Element.open, Fraction(-1, 3))
     _rejects(R1Element, "open", 1)  # an endpoint must be a Fraction
     _rejects(exemplars._r1, "closed", -2, 3)  # the int constructor checks too
+    # what Fraction() cannot read as a finite rational, and a bool
+    for bad in (None, "abc", float("nan"), float("inf"), True, False):
+        for build in (R1Element.closed, R1Element.open):
+            with pytest.raises(NotInModel, match="^endpoint must be a nonnegative Fraction$"):
+                build(bad)
+    # what parses today still does
+    assert R1Element.closed("1/2") == R1Element.closed(Fraction(2, 4))
+    assert R1Element.open(3).endpoint == Fraction(3)
 
 
 def test_r1_element_is_immutable():
@@ -630,6 +686,25 @@ def test_r1_selftest_catches_a_closed_product_of_an_open_factor(monkeypatch):
     assert all(a.startswith("R1(") for _, a, _ in witnesses)  # open dividends only
 
 
+def test_r1_selftest_catches_an_open_residual_where_closed_is_due(monkeypatch):
+    # open(d) sits just below the due closed(d), so r*b <= a still holds
+    # and only the maximality step sees that closed(d) qualifies too
+    exact = exemplars.r1_residual
+    calls = []
+
+    def open_for_closed(a, b):
+        calls.append((a, b))
+        r = exact(a, b)
+        return R1Element.open(r.endpoint) if r.kind == "closed" else r
+
+    monkeypatch.setattr(exemplars, "r1_residual", open_for_closed)
+    report = r1_selftest(trials=400, seed=1)
+    assert calls
+    assert report["failures"] > 0
+    labels = {label for label, _, _ in report["witnesses"]}
+    assert "residual_maximality" in labels and "residual_bound" not in labels
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=_r1_elements, b=_r1_elements, c=_r1_elements)
 def test_r1_residual_maximality(a, b, c):
@@ -668,6 +743,11 @@ def test_ideal_validation_rejects_bools_and_non_integers():
     _rejects(FGIdeal, frozenset({True, 3}))
     _rejects(ideal_member, UNIT_IDEAL, True)
     _rejects(ideal_member, FGIdeal.of(2), 4.0)
+    for bad in (None, 5, [[2]]):  # not an iterable of ints
+        with pytest.raises(NotInModel, match="^generators must be positive integers$"):
+            FGIdeal(bad)
+    # a one-shot iterable is read once, not used up by the type check
+    assert FGIdeal(g for g in (4, 6, 12)) == FGIdeal.of(4, 6)
     assert FGIdeal.of(1) == UNIT_IDEAL
     assert ideal_member(FGIdeal.of(2), 4) and not ideal_member(FGIdeal.of(2), 3)
 
